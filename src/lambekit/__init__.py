@@ -31,6 +31,7 @@ from .core import (
     Sequent,
     Slash,
     SLASH_FRAGMENT,
+    StepLimitExceeded,
     TypeRestriction,
     classify_cfg,
     connectives,
@@ -90,7 +91,6 @@ from .oracle import (
     CfgDecider,
     CrosscheckReport,
     LambekDecider,
-    StepLimitExceeded,
     cfg_member,
     crosscheck,
     enumerate_strings,

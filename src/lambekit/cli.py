@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -310,14 +309,8 @@ def _join(word: tuple) -> str:
 def _cmd_classify(args) -> int:
     g = load_grammar_file(args.file)
     if isinstance(g, LambekGrammar):
-        kinds = {
-            "slash": SLASH_FRAGMENT,
-            "linear": LINEAR_FRAGMENT,
-            "regular": REGULAR_FRAGMENT,
-            "full": FULL_CALCULUS,
-        }
         config = infer_config(g)
-        name = next(k for k, v in kinds.items() if v == config)
+        name = next(k for k, v in _FRAGMENTS.items() if v == config)
         degrees = [t.degree for t in g.all_types()] or [0]
         payload = {
             "command": "classify",
@@ -464,8 +457,6 @@ def _cmd_prove(args) -> int:
         config = CalculusConfig(frozenset(_RULES_BY_NAME[n] for n in names))
     else:
         config = FULL_CALCULUS
-    if args.allow_cut:
-        config = replace(config, allow_cut_in_validation=True)
     result = prove(sequent, config)
     payload = {
         "command": "prove",
@@ -575,11 +566,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("prove", _cmd_prove, "run the sequent prover")
     p.add_argument("sequent", help="e.g. 'S/B, B -> S'")
     p.add_argument("--rules", help="comma-separated rules, e.g. '/L,\\L'")
-    p.add_argument(
-        "--allow-cut",
-        action="store_true",
-        help="tolerate cut when validating derivations under this configuration",
-    )
 
     p = add("enumerate", _cmd_enumerate, "list the language up to a length bound")
     p.add_argument("file")

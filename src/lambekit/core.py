@@ -22,6 +22,30 @@ class FragmentError(LambekitError):
     """An input falls outside the configured fragment or a precondition."""
 
 
+class StepLimitExceeded(LambekitError):
+    """A decider ran past its per-string work budget.
+
+    Raised instead of returning a verdict, so a budget can never silently
+    turn into a wrong answer.
+    """
+
+
+class _Budget:
+    """A per-call step allowance; None means unbounded."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, max_steps: Optional[int]):
+        self.left = max_steps
+
+    def spend(self, n: int = 1) -> None:
+        if self.left is None:
+            return
+        self.left -= n
+        if self.left < 0:
+            raise StepLimitExceeded("membership decision exceeded its step budget")
+
+
 # identifiers for primitive types and alphabet symbols
 _IDENT_RE = re.compile(r"[A-Za-z0-9_']+\Z")
 

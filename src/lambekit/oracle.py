@@ -1,10 +1,10 @@
 """Ground-truth membership deciders and the exhaustive cross-check harness.
 
 Two independent routes exist for everything at desk scale: grammars are
-decided by bounded leftmost derivation (GNF) or CYK, lexicons by the
-fragment recognizers or by raw proof search over every type assignment.
-``crosscheck`` walks all strings up to a length bound and reports the first
-point where two deciders part ways.
+decided by bounded leftmost derivation (GNF) or CYK, lexicons by the span
+chart and NFA of ``recognizer`` run over the word, or by raw proof search
+over every type assignment.  ``crosscheck`` walks all strings up to a
+length bound and reports the first point where two deciders part ways.
 """
 
 from __future__ import annotations
@@ -16,45 +16,45 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    Backslash,
     CalculusConfig,
     Cfg,
     FragmentError,
     GrammarError,
     LambekGrammar,
-    LambekitError,
-    LambekType,
     Primitive,
     Rule,
     Sequent,
-    Slash,
-    TypeRestriction,
+    StepLimitExceeded,
+    _Budget,
     classify_cfg,
     in_fragment,
-    spine_decompositions,
     FULL_CALCULUS,
     LINEAR_FRAGMENT,
     REGULAR_FRAGMENT,
     SLASH_FRAGMENT,
 )
 from .prover import ProofEngine
-from .recognizer import reduce_linear, reduce_regular, reduce_slash
+from .recognizer import (
+    ReductionTable,
+    nfa_member,
+    reduce_linear,
+    reduce_regular,
+    reduce_slash,
+)
 from .transform import remove_unit_productions
 
 Word = Sequence[str]
 
 
-class StepLimitExceeded(LambekitError):
-    """A decider ran past its per-string work budget.
-
-    Raised instead of returning a verdict, so a budget can never silently
-    turn into a wrong answer.
-    """
-
-
-def _as_word(w: Word) -> tuple:
+def _checked_word(w: Word, symbols) -> tuple:
     # a plain string is read as its characters; otherwise a symbol sequence
-    return tuple(w)
+    word = tuple(w)
+    if not word:
+        raise GrammarError("the empty string is outside every language here")
+    for sym in word:
+        if sym not in symbols:
+            raise GrammarError(f"unknown symbol {sym!r}")
+    return word
 
 
 def enumerate_strings(alphabet: Iterable[str], max_len: int) -> Iterator[tuple]:
@@ -69,20 +69,6 @@ def enumerate_strings(alphabet: Iterable[str], max_len: int) -> Iterator[tuple]:
 
 # --------------------------------------------------------------------------
 # CFG membership
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, max_steps: Optional[int]):
-        self.left = max_steps
-
-    def spend(self, n: int = 1) -> None:
-        if self.left is None:
-            return
-        self.left -= n
-        if self.left < 0:
-            raise StepLimitExceeded("membership decision exceeded its step budget")
 
 
 @lru_cache(maxsize=128)
@@ -178,22 +164,7 @@ def cfg_member(
     method: "auto" picks the bounded leftmost search for GNF grammars and
     CYK otherwise; "gnf" and "cyk" force a route (the former requires GNF).
     """
-    word = _as_word(w)
-    if not word:
-        raise GrammarError("the empty string is outside every language here")
-    for sym in word:
-        if sym not in g.terminal_set:
-            raise GrammarError(f"unknown symbol {sym!r}")
-    budget = _Budget(max_steps)
-    if method == "auto":
-        method = "gnf" if classify_cfg(g).is_gnf else "cyk"
-    if method == "gnf":
-        if not classify_cfg(g).is_gnf:
-            raise FragmentError("leftmost search requires Greibach normal form")
-        return _gnf_member(g, word, budget)
-    if method == "cyk":
-        return _cyk_member(g, word, budget)
-    raise ValueError(f"unknown method {method!r}")
+    return CfgDecider(g, method)(w, max_steps)
 
 
 class CfgDecider:
@@ -206,52 +177,54 @@ class CfgDecider:
         self.method = method
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
-        return cfg_member(self.grammar, w, self.method, max_steps)
+        g = self.grammar
+        word = _checked_word(w, g.terminal_set)
+        budget = _Budget(max_steps)
+        if self.method == "gnf":
+            if not classify_cfg(g).is_gnf:
+                raise FragmentError("leftmost search requires Greibach normal form")
+            return _gnf_member(g, word, budget)
+        if self.method == "cyk":
+            return _cyk_member(g, word, budget)
+        raise ValueError(f"unknown method {self.method!r}")
 
 
 # --------------------------------------------------------------------------
 # lexicon membership
 
 
+# the left-rule fragments, each with the recognizer its type assignments go
+# to; a lexicon belongs to the first one it fits
+_CHART_FRAGMENTS = (
+    (REGULAR_FRAGMENT, reduce_regular),
+    (SLASH_FRAGMENT, reduce_slash),
+    (LINEAR_FRAGMENT, reduce_linear),
+)
+
+
+def _lexicon_in(lg: LambekGrammar, fragment: CalculusConfig) -> bool:
+    return all(in_fragment(t, fragment.type_restriction) for t in lg.all_types())
+
+
 def infer_config(lg: LambekGrammar) -> CalculusConfig:
     """The natural fragment for a lexicon's shape: /-only lexicons get the
     slash fragment (degree-one ones the regular fragment), degree-one
     {/, \\} lexicons the linear fragment, anything else the full calculus."""
-    types = lg.all_types()
-    if all(in_fragment(t, REGULAR_FRAGMENT.type_restriction) for t in types):
-        return REGULAR_FRAGMENT
-    if all(in_fragment(t, SLASH_FRAGMENT.type_restriction) for t in types):
-        return SLASH_FRAGMENT
-    if all(in_fragment(t, LINEAR_FRAGMENT.type_restriction) for t in types):
-        return LINEAR_FRAGMENT
+    for fragment, _ in _CHART_FRAGMENTS:
+        if _lexicon_in(lg, fragment):
+            return fragment
     return FULL_CALCULUS
-
-
-def _check_word(lg: LambekGrammar, w: tuple) -> None:
-    if not w:
-        raise GrammarError("the empty string is outside every language here")
-    for sym in w:
-        if sym not in lg.lexicon:
-            raise GrammarError(f"unknown symbol {sym!r}")
-
-
-def _lexicon_in(lg: LambekGrammar, restriction: TypeRestriction) -> bool:
-    return all(in_fragment(t, restriction) for t in lg.all_types())
-
-
-_TP_SLASH = TypeRestriction(frozenset({"/"}))
-_TP_LINEAR_1 = TypeRestriction(frozenset({"/", "\\"}), max_degree=1)
-_TP_SLASH_1 = TypeRestriction(frozenset({"/"}), max_degree=1)
 
 
 class LambekDecider:
     """Membership decider for one lexicon under one configuration.
 
-    method "auto" runs a chart over the word with lexicon choices folded in
-    (per-span results are shared across type assignments, and across calls);
-    "recognizer" and "prove" enumerate type assignments one by one and hand
-    each to the fragment recognizer or the prover.  All three agree; the
-    slower routes exist to keep each other honest in tests.
+    method "auto" runs the fragment's ``ReductionTable`` or NFA over the
+    word with lexicon choices folded in (per-span results are shared across
+    type assignments, and across calls); "recognizer" and "prove" enumerate
+    type assignments one by one and hand each to the fragment recognizer or
+    the prover.  All three agree; the slower routes exist to keep each
+    other honest in tests.
     """
 
     def __init__(
@@ -273,157 +246,47 @@ class LambekDecider:
                 raise FragmentError(
                     f"lexicon type {t} falls outside the configured restriction"
                 )
+        # the chart is exact when the configuration's rules are the
+        # fragment's left rules, or /L with \L idle for want of a \ type
         rules = self.config.enabled_rules
-        self._fragment = "general"
-        if rules and rules <= {Rule.SLASH_L, Rule.BACK_L}:
-            if Rule.SLASH_L in rules and _lexicon_in(lg, _TP_SLASH_1):
-                self._fragment = "regular"
-            elif Rule.SLASH_L in rules and _lexicon_in(lg, _TP_SLASH):
-                # \L cannot fire without a \ type, so /-only lexicons stay exact
-                self._fragment = "slash"
-            elif rules == {Rule.SLASH_L, Rule.BACK_L} and _lexicon_in(lg, _TP_LINEAR_1):
-                self._fragment = "linear"
+        self._fragment, self._recognize = None, None
+        if rules <= {Rule.SLASH_L, Rule.BACK_L}:
+            for fragment, recognize in _CHART_FRAGMENTS:
+                if fragment.enabled_rules <= rules and _lexicon_in(lg, fragment):
+                    self._fragment, self._recognize = fragment, recognize
+                    break
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
-        word = _as_word(w)
-        _check_word(self.grammar, word)
+        word = _checked_word(w, self.grammar.lexicon)
         budget = _Budget(max_steps)
-        if self.method == "auto" and self._fragment != "general":
-            return self._chart_member(word, budget)
-        return self._assignment_member(word, budget, self.method)
-
-    # ---- chart route: lexicon choices resolved per span
-
-    def _chart_member(self, word: tuple, budget: _Budget) -> bool:
-        if self._fragment == "regular":
-            return self._nfa_member(word, budget)
-        if self._fragment == "slash":
-            return self._slash_span(word, self.grammar.target, budget)
-        return self._linear_span(word, self.grammar.target, budget)
-
-    def _nfa_member(self, word: tuple, budget: _Budget) -> bool:
-        lex = self.grammar.lexicon
-        want = {self.grammar.distinguished}
-        for sym in word[:-1]:
+        target = self.grammar.target
+        if self.method == "auto" and self._fragment is not None:
+            # lexicon choices resolved per span, spans shared across calls
+            lex = self.grammar.lexicon
+            if self._fragment is REGULAR_FRAGMENT:
+                return nfa_member(word, lex, target, budget)
+            table = ReductionTable(word, self._span_memo, lex, budget)
+            return table.reduce(0, len(word), target)
+        holds = self._recognize if self.method == "recognizer" else self._provable
+        if holds is None:
+            raise FragmentError("no recognizer covers this lexicon/configuration; use prove")
+        # every element of the pointwise extension, one at a time
+        for assignment in self._assignments(word):
             budget.spend()
-            want = {
-                t.arg.name
-                for t in lex[sym]
-                if type(t) is Slash and t.result.name in want
-            }
-            if not want:
-                return False
-        return any(
-            type(t) is Primitive and t.name in want for t in lex[word[-1]]
-        )
-
-    def _slash_span(self, word: tuple, target: LambekType, budget: _Budget) -> bool:
-        memo = self._span_memo
-        lex = self.grammar.lexicon
-
-        def reduce(i: int, j: int, goal: LambekType) -> bool:
-            key = (word[i:j], goal)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            budget.spend()
-            value = False
-            for t in lex[word[i]]:
-                for head, args in spine_decompositions(t):
-                    if head == goal and match(i + 1, j, args):
-                        value = True
-                        break
-                if value:
-                    break
-            memo[key] = value
-            return value
-
-        def match(i: int, j: int, args: tuple) -> bool:
-            if not args:
-                return i == j
-            key = (word[i:j], args)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            budget.spend()
-            value = False
-            first, rest = args[0], args[1:]
-            for m in range(i + 1, j - len(rest) + 1):
-                if reduce(i, m, first) and match(m, j, rest):
-                    value = True
-                    break
-            memo[key] = value
-            return value
-
-        return reduce(0, len(word), target)
-
-    def _linear_span(self, word: tuple, target: Primitive, budget: _Budget) -> bool:
-        memo = self._span_memo
-        lex = self.grammar.lexicon
-
-        def span(i: int, j: int, goal: Primitive) -> bool:
-            key = (word[i:j], goal)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            budget.spend()
-            value = False
-            if j - i == 1 and any(t == goal for t in lex[word[i]]):
-                value = True
-            if not value and j - i >= 2:
-                for t in lex[word[i]]:
-                    if type(t) is Slash and t.result == goal and span(i + 1, j, t.arg):
-                        value = True
-                        break
-                if not value:
-                    for t in lex[word[j - 1]]:
-                        if (
-                            type(t) is Backslash
-                            and t.result == goal
-                            and span(i, j - 1, t.arg)
-                        ):
-                            value = True
-                            break
-            memo[key] = value
-            return value
-
-        return span(0, len(word), target)
-
-    # ---- assignment route: every element of the pointwise extension
+            if holds(assignment, target):
+                return True
+        return False
 
     def _assignments(self, word: tuple) -> Iterator[tuple]:
         return itertools.product(*(self.grammar.lexicon[sym] for sym in word))
 
-    def _assignment_member(self, word: tuple, budget: _Budget, method: str) -> bool:
-        target = self.grammar.target
-        config = self.config
-        if method == "recognizer":
-            recognize = {
-                "slash": reduce_slash,
-                "linear": reduce_linear,
-                "regular": reduce_regular,
-            }.get(self._fragment)
-            if recognize is None:
-                raise FragmentError(
-                    "no recognizer covers this lexicon/configuration; use prove"
-                )
-        else:
-            recognize = None
-        for assignment in self._assignments(word):
-            budget.spend()
-            if recognize is not None:
-                ok = recognize(assignment, target)
-            else:
-                ok = self._engine.prove(Sequent(assignment, target), config).provable
-            if ok:
-                return True
-        return False
+    def _provable(self, assignment: tuple, target: Primitive) -> bool:
+        return self._engine.prove(Sequent(assignment, target), self.config).provable
 
     def find_proof(self, w: Word):
         """A derivation witnessing membership, or None.  Searches type
         assignments in canonical order and proves the first that works."""
-        word = _as_word(w)
-        _check_word(self.grammar, word)
+        word = _checked_word(w, self.grammar.lexicon)
         target = self.grammar.target
         for assignment in self._assignments(word):
             result = self._engine.prove(Sequent(assignment, target), self.config)

@@ -1,10 +1,14 @@
-"""Reducibility deciders: polynomial alternatives to proof search.
+"""Reducibility charts: polynomial alternatives to proof search.
 
-A sequence of /-only types reduces to a target exactly when its first type
-peels as target-over-arguments and the rest of the sequence splits into
-consecutive nonempty chunks, each reducing to the matching argument.  That
-characterization drives a chart over (span, target) pairs; the degree-one
-variants below specialize it further.
+The product-free left-rule fragments decide one relation: does a span of
+positions, each offering candidate types (one per position for a type
+sequence, the lexicon's for each symbol of a word), reduce to a target?
+``ReductionTable`` charts (span, target) pairs: a span reduces when a first
+candidate peels as target-over-arguments and the rest splits into nonempty
+chunks reducing to the arguments (the /L-only slash fragment), or, with
+degree-one {/, \\} types, when its last candidate is A\\target and the front
+reduces to A (the linear fragment).  For degree-one /-only types
+``nfa_member`` decides in one left-to-right pass (the regular fragment).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from typing import Optional, Sequence
 
 from .core import (
     Backslash,
+    CalculusConfig,
     FragmentError,
     LambekType,
     Primitive,
@@ -20,32 +25,41 @@ from .core import (
     Rule,
     Sequent,
     Slash,
-    TypeRestriction,
+    _Budget,
     in_fragment,
-    reassemble_spine,
     spine_decompositions,
+    LINEAR_FRAGMENT,
+    REGULAR_FRAGMENT,
+    SLASH_FRAGMENT,
 )
-
-_TP_SLASH = TypeRestriction(frozenset({"/"}))
-_TP_LINEAR_1 = TypeRestriction(frozenset({"/", "\\"}), max_degree=1)
-_TP_SLASH_1 = TypeRestriction(frozenset({"/"}), max_degree=1)
 
 
 class ReductionTable:
-    """Memoized reducibility chart for one type sequence.
+    """Memoized reducibility chart over candidate types per position.
 
-    ``entry(i, j, target)`` says whether types[i:j] reduces to target using
-    only the left / rule.  A table is confined to a single query sequence;
-    ``shared`` optionally points at a cross-query map keyed by
+    ``reduce(i, j, target)`` says whether positions i..j-1 reduce to target
+    by the left rules.  Position k offers ``seq[k]`` alone or, when ``seq``
+    is a word, the types ``lexicon[seq[k]]``; ``types`` holds ``seq`` as a
+    tuple.  A table serves one query
+    sequence; ``shared`` optionally points at a cross-query map keyed by
     (span-as-tuple, target) so separate tables can reuse results.  ``ops``
-    counts chart expansions, which the tests use to bound the growth rate.
+    counts chart expansions, which the tests use to bound the growth rate;
+    each is charged to ``budget`` when one is given.
     """
 
-    def __init__(self, types: Sequence[LambekType], shared: Optional[dict] = None):
-        self.types = tuple(types)
+    def __init__(
+        self,
+        seq: Sequence,
+        shared: Optional[dict] = None,
+        lexicon=None,
+        budget: Optional[_Budget] = None,
+    ):
+        self.types = tuple(seq)
+        self._lexicon = lexicon
         self.memo: dict = {}
         self._splits: dict = {}
         self._shared = shared
+        self._budget = budget
         self.ops = 0
 
     def reduce(self, i: int, j: int, target: LambekType) -> bool:
@@ -54,58 +68,121 @@ class ReductionTable:
         if hit is not None:
             return hit
         if self._shared is not None:
-            span_key = (self.types[i:j], target)
-            shared_hit = self._shared.get(span_key)
+            shared_hit = self._shared.get((self.types[i:j], target))
             if shared_hit is not None:
                 self.memo[key] = shared_hit
                 return shared_hit
         self.ops += 1
+        if self._budget is not None:
+            self._budget.spend()
+        # plain loops and a direct call for one-argument spines keep the
+        # recursion at one frame per position on degree-one chains
         value = False
-        for head, args in spine_decompositions(self.types[i]):
-            if head == target and self._match(i + 1, j, args):
-                value = True
+        width = j - i
+        lex, first = self._lexicon, self.types[i]
+        for t in (first,) if lex is None else lex[first]:
+            for head, args in spine_decompositions(t):
+                if head != target or len(args) >= width:
+                    continue
+                if not args:
+                    value = width == 1
+                elif len(args) == 1:
+                    value = self.reduce(i + 1, j, args[0])
+                else:
+                    value = self._split(i + 1, j, args)
+                if value:
+                    break
+            if value:
                 break
+        if not value and width > 1:
+            last = self.types[j - 1]
+            for t in (last,) if lex is None else lex[last]:
+                if (
+                    type(t) is Backslash
+                    and t.degree == 1
+                    and t.result == target
+                    and self.reduce(i, j - 1, t.arg)
+                ):
+                    value = True
+                    break
         self.memo[key] = value
         if self._shared is not None:
             self._shared[(self.types[i:j], target)] = value
         return value
 
-    def _match(self, i: int, j: int, args: tuple) -> bool:
-        """Can types[i:j] split into len(args) nonempty chunks, the k-th
-        reducing to args[k]?  Leftmost-first, memoized on the suffix."""
+    def _split(self, i: int, j: int, args: tuple) -> bool:
+        """Can positions i..j-1 split into len(args) nonempty chunks, the
+        k-th reducing to args[k]?  Leftmost-first, memoized on the suffix."""
         if not args:
             return i == j
+        if len(args) == 1:
+            return j > i and self.reduce(i, j, args[0])
         key = (i, j, args)
         hit = self._splits.get(key)
         if hit is not None:
             return hit
         self.ops += 1
+        if self._budget is not None:
+            self._budget.spend()
         value = False
         first, rest = args[0], args[1:]
         for m in range(i + 1, j - len(rest) + 1):
-            if self.reduce(i, m, first) and self._match(m, j, rest):
+            if self.reduce(i, m, first) and self._split(m, j, rest):
                 value = True
                 break
         self._splits[key] = value
         return value
 
 
-def _check_slash_query(seq: tuple, target: LambekType) -> None:
+def nfa_member(
+    word: Sequence, lexicon, target: Primitive, budget: Optional[_Budget] = None
+) -> bool:
+    """Decide reducibility for degree-one /-only candidates in one pass.
+
+    Position k offers ``lexicon[word[k]]``.  The state is the set of
+    primitive names (not types, whose hashing runs in Python) that the rest
+    of the word may have to produce; p/q where p is wanted leaves q wanted.
+    """
+    want = {target.name}
+    for sym in word[:-1]:
+        if budget is not None:
+            budget.spend()
+        want = {
+            t.arg.name
+            for t in lexicon[sym]
+            if type(t) is Slash and t.result.name in want
+        }
+        if not want:
+            # a mid-sequence primitive ends the spine with input left over
+            return False
+    return any(type(t) is Primitive and t.name in want for t in lexicon[word[-1]])
+
+
+def _query(
+    seq: Sequence[LambekType], target: LambekType, fragment: CalculusConfig, shape: str
+) -> tuple:
+    """The query sequence as a tuple, once it and the target are checked
+    against the fragment: degree-one fragments take primitive targets only."""
+    seq = tuple(seq)
+    restriction = fragment.type_restriction
     if not seq:
         raise FragmentError("reducibility query with empty sequence")
+    if restriction.max_degree is None:
+        if not in_fragment(target, restriction):
+            raise FragmentError(f"target {target} {shape}")
+    elif not isinstance(target, Primitive):
+        raise FragmentError(f"target must be primitive, got {target}")
     for t in seq:
-        if not in_fragment(t, _TP_SLASH):
-            raise FragmentError(f"type {t} uses connectives other than /")
-    if not in_fragment(target, _TP_SLASH):
-        raise FragmentError(f"target {target} uses connectives other than /")
+        if not in_fragment(t, restriction):
+            raise FragmentError(f"type {t} {shape}")
+    return seq
 
 
 def reduce_slash(
     seq: Sequence[LambekType], target: LambekType, table: Optional[ReductionTable] = None
 ) -> bool:
     """Decide whether the /-only sequence reduces to the target."""
-    seq = tuple(seq)
-    _check_slash_query(seq, target)
+    seq = _query(seq, target, SLASH_FRAGMENT, "uses connectives other than /")
     tbl = table if table is not None else ReductionTable(seq)
     return tbl.reduce(0, len(seq), target)
 
@@ -114,8 +191,7 @@ def reduce_slash_proof(
     seq: Sequence[LambekType], target: LambekType
 ) -> Optional[Proof]:
     """Like reduce_slash, but reconstruct a checkable derivation on success."""
-    seq = tuple(seq)
-    _check_slash_query(seq, target)
+    seq = _query(seq, target, SLASH_FRAGMENT, "uses connectives other than /")
     tbl = ReductionTable(seq)
     if not tbl.reduce(0, len(seq), target):
         return None
@@ -124,37 +200,26 @@ def reduce_slash_proof(
 
 def _rebuild(tbl: ReductionTable, i: int, j: int, target: LambekType) -> Proof:
     for head, args in spine_decompositions(tbl.types[i]):
-        if head == target and tbl._match(i + 1, j, args):
-            bounds = _witness_split(tbl, i + 1, j, args)
-            chunks = [
-                (_rebuild(tbl, a, b, beta), tbl.types[a:b])
-                for (a, b), beta in zip(bounds, args)
-            ]
-            return _assemble(target, args, chunks)
+        if head == target and tbl._split(i + 1, j, args):
+            return _apply(tbl, tbl.types[i], i + 1, j, target, args)
     raise AssertionError(f"lost the witness for span ({i}, {j}) -> {target}")
 
 
-def _witness_split(tbl: ReductionTable, i: int, j: int, args: tuple) -> list:
-    if not args:
-        return []
-    first, rest = args[0], args[1:]
-    for m in range(i + 1, j - len(rest) + 1):
-        if tbl.reduce(i, m, first) and tbl._match(m, j, rest):
-            return [(i, m)] + _witness_split(tbl, m, j, rest)
-    raise AssertionError("split witness vanished")
-
-
-def _assemble(target: LambekType, args: tuple, chunks: list) -> Proof:
-    """Nest /L applications: one per argument, outermost argument first."""
+def _apply(
+    tbl: ReductionTable, functor: LambekType, i: int, j: int, target: LambekType, args: tuple
+) -> Proof:
+    """Derive functor, types[i:j] => target by one /L per argument, the
+    outermost argument first, taking the leftmost split the chart allows."""
     if not args:
         return Proof(Sequent((target,), target), Rule.AXIOM)
-    (minor, minor_types), rest = chunks[0], chunks[1:]
-    major = _assemble(target, args[1:], rest)
-    head = reassemble_spine(target, args)
-    conclusion = Sequent(
-        (head,) + minor_types + major.conclusion.antecedent[1:], target
-    )
-    return Proof(conclusion, Rule.SLASH_L, (minor, major), position=0)
+    first, rest = args[0], args[1:]
+    for m in range(i + 1, j - len(rest) + 1):
+        if tbl.reduce(i, m, first) and tbl._split(m, j, rest):
+            minor = _rebuild(tbl, i, m, first)
+            major = _apply(tbl, functor.result, m, j, target, rest)
+            conclusion = Sequent((functor,) + tbl.types[i:j], target)
+            return Proof(conclusion, Rule.SLASH_L, (minor, major), position=0)
+    raise AssertionError("split witness vanished")
 
 
 # --------------------------------------------------------------------------
@@ -168,37 +233,8 @@ def reduce_linear(seq: Sequence[LambekType], target: LambekType) -> bool:
     target/A and the rest reduces to A, or when its last type is A\\target
     and the front reduces to A.
     """
-    seq = tuple(seq)
-    if not seq:
-        raise FragmentError("reducibility query with empty sequence")
-    if not isinstance(target, Primitive):
-        raise FragmentError(f"target must be primitive, got {target}")
-    for t in seq:
-        if not in_fragment(t, _TP_LINEAR_1):
-            raise FragmentError(f"type {t} is not a degree-one {{/, \\}} type")
-
-    memo: dict = {}
-
-    def span(i: int, j: int, goal: Primitive) -> bool:
-        key = (i, j, goal)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        value = False
-        if j - i == 1 and seq[i] == goal:
-            value = True
-        if not value:
-            first = seq[i]
-            if type(first) is Slash and first.result == goal and j - i >= 2:
-                value = span(i + 1, j, first.arg)
-        if not value:
-            last = seq[j - 1]
-            if type(last) is Backslash and last.result == goal and j - i >= 2:
-                value = span(i, j - 1, last.arg)
-        memo[key] = value
-        return value
-
-    return span(0, len(seq), target)
+    seq = _query(seq, target, LINEAR_FRAGMENT, "is not a degree-one {/, \\} type")
+    return ReductionTable(seq).reduce(0, len(seq), target)
 
 
 def reduce_regular(seq: Sequence[LambekType], target: LambekType) -> bool:
@@ -207,19 +243,5 @@ def reduce_regular(seq: Sequence[LambekType], target: LambekType) -> bool:
     One left-to-right pass suffices: track the primitive the remaining
     suffix must produce (a finite-state run over the primitives).
     """
-    seq = tuple(seq)
-    if not seq:
-        raise FragmentError("reducibility query with empty sequence")
-    if not isinstance(target, Primitive):
-        raise FragmentError(f"target must be primitive, got {target}")
-    for t in seq:
-        if not in_fragment(t, _TP_SLASH_1):
-            raise FragmentError(f"type {t} is not a degree-one /-only type")
-
-    want = target
-    for t in seq[:-1]:
-        # a mid-sequence primitive ends the spine with input left over
-        if type(t) is not Slash or t.result != want:
-            return False
-        want = t.arg
-    return seq[-1] == want
+    seq = _query(seq, target, REGULAR_FRAGMENT, "is not a degree-one /-only type")
+    return nfa_member(range(len(seq)), [(t,) for t in seq], target)

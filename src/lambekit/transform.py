@@ -23,7 +23,7 @@ from .core import (
     Primitive,
     Production,
     Slash,
-    TypeRestriction,
+    SLASH_FRAGMENT,
     classify_cfg,
     format_type,
     in_fragment,
@@ -321,10 +321,9 @@ def lambek_to_cfg(lg: LambekGrammar, prune: bool = True) -> Cfg:
     type becomes a production.  Pruning drops the decompositions nothing
     ever derives; pass prune=False to keep them all.
     """
-    slash_only = TypeRestriction(frozenset({"/"}))
     for sym in lg.alphabet:
         for t in lg.lexicon[sym]:
-            if not in_fragment(t, slash_only):
+            if not in_fragment(t, SLASH_FRAGMENT.type_restriction):
                 raise TranslationError(
                     f"type {format_type(t)} for {sym!r} uses connectives other than /"
                 )

@@ -167,11 +167,28 @@ class TestLambekMember:
         with pytest.raises(ValueError):
             LambekDecider(ANBN_LEX, method="magic")
 
-    def test_budget_is_enforced(self):
-        word = tuple("aaaabbbb")
-        assert lambek_member(ANBN_LEX, word, max_steps=100_000)
+    @pytest.mark.parametrize(
+        "lexicon, word",
+        [
+            (ANBN_LEX, "aaaabbbb"),
+            (lcfg_to_lambek(corpus.anban_linear()), "aaaabaaaa"),
+            (reg_to_lambek(corpus.abplus()), "abababab"),
+        ],
+        ids=["slash", "linear", "nfa"],
+    )
+    def test_budget_is_enforced(self, lexicon, word):
+        word = tuple(word)
+        assert lambek_member(lexicon, word, max_steps=100_000)
         with pytest.raises(StepLimitExceeded):
-            lambek_member(ANBN_LEX, word, max_steps=2)
+            lambek_member(lexicon, word, max_steps=2)
+
+    def test_linear_chart_depth_is_one_frame_per_symbol(self):
+        # 801 symbols: any extra frame per symbol runs past the default
+        # recursion limit of 1,000
+        decider = LambekDecider(lcfg_to_lambek(corpus.anban_linear()))
+        word = ("a",) * 400 + ("b",) + ("a",) * 400
+        assert decider(word)
+        assert not decider(word[:-1] + ("b",))
 
     def test_find_proof(self):
         decider = LambekDecider(ANBN_LEX)
