@@ -23,7 +23,9 @@ lexicon), an optional ``primitives:`` directive, and one entry per line::
 for machine-readable output.
 
 Exit codes: 0 success (member, provable, agreement), 1 negative verdict,
-2 malformed input, 3 a precondition or resource limit got in the way.
+2 malformed input, 3 a precondition or resource limit got in the way
+(including a step budget, or input too deep or too long for Python's
+recursion limit).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .oracle import (
     enumerate_strings,
     infer_config,
 )
-from .prover import prove
+from .prover import ProofEngine
 from .core import Primitive, subtypes_in_order
 from .syntax import (
     ParseError,
@@ -457,7 +459,7 @@ def _cmd_prove(args) -> int:
         config = CalculusConfig(frozenset(_RULES_BY_NAME[n] for n in names))
     else:
         config = FULL_CALCULUS
-    result = prove(sequent, config)
+    result = ProofEngine().prove(sequent, config, max_steps=args.budget)
     payload = {
         "command": "prove",
         "sequent": format_sequent(sequent),
@@ -566,6 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("prove", _cmd_prove, "run the sequent prover")
     p.add_argument("sequent", help="e.g. 'S/B, B -> S'")
     p.add_argument("--rules", help="comma-separated rules, e.g. '/L,\\L'")
+    p.add_argument("--budget", type=int, help="node-expansion budget for the search")
 
     p = add("enumerate", _cmd_enumerate, "list the language up to a length bound")
     p.add_argument("file")
@@ -596,6 +599,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (TranslationError, FragmentError, GrammarError, StepLimitExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: input too deep or too long for the recursion limit", file=sys.stderr)
         return 3
 
 

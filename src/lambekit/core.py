@@ -23,7 +23,8 @@ class FragmentError(LambekitError):
 
 
 class StepLimitExceeded(LambekitError):
-    """A decider ran past its per-string work budget.
+    """A decision ran past its work budget: a membership query past its
+    per-string steps, or a proof search past its node expansions.
 
     Raised instead of returning a verdict, so a budget can never silently
     turn into a wrong answer.
@@ -43,7 +44,7 @@ class _Budget:
             return
         self.left -= n
         if self.left < 0:
-            raise StepLimitExceeded("membership decision exceeded its step budget")
+            raise StepLimitExceeded("decision exceeded its step budget")
 
 
 # identifiers for primitive types and alphabet symbols
@@ -62,9 +63,16 @@ class LambekType:
     Instances are immutable, compare structurally, and are safe to use as
     map keys.  Degree (connective count) and hash are computed once at
     construction so deep types stay cheap to compare and memoize.
+
+    ``_pol`` is the type's signed primitive count under fixed primitive
+    weights: a primitive weighs ``_weight(name)``, A/B and B\\A weigh
+    pol(A) - pol(B), and A*B weighs pol(A) + pol(B).  Every provable
+    sequent has antecedent weights summing to the consequent's (van
+    Benthem's count invariant), whatever the weights, so a mismatch
+    refutes a sequent without search.
     """
 
-    __slots__ = ("_hash", "degree", "_conn")
+    __slots__ = ("_hash", "degree", "_conn", "_pol")
 
     degree: int
 
@@ -88,6 +96,15 @@ class LambekType:
         return f"<type {format_type(self)}>"
 
 
+def _weight(name: str) -> int:
+    # 64-bit FNV-1a: deterministic across processes, unlike the salted
+    # hash(str), so search work counts repeat from run to run
+    h = 0xCBF29CE484222325
+    for byte in name.encode():
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class Primitive(LambekType):
     """An atomic type, identified by name."""
 
@@ -101,6 +118,7 @@ class Primitive(LambekType):
         self.name = name
         self.degree = 0
         self._conn = 0
+        self._pol = _weight(name)
         self._hash = hash(("prim", name))
 
     __hash__ = LambekType.__hash__
@@ -119,6 +137,7 @@ class Slash(LambekType):
         self.arg = arg
         self.degree = 1 + result.degree + arg.degree
         self._conn = _C_SLASH | result._conn | arg._conn
+        self._pol = result._pol - arg._pol
         self._hash = hash(("/", result._hash, arg._hash))
 
     __hash__ = LambekType.__hash__
@@ -144,6 +163,7 @@ class Backslash(LambekType):
         self.result = result
         self.degree = 1 + arg.degree + result.degree
         self._conn = _C_BACK | arg._conn | result._conn
+        self._pol = result._pol - arg._pol
         self._hash = hash(("\\", arg._hash, result._hash))
 
     __hash__ = LambekType.__hash__
@@ -169,6 +189,7 @@ class Product(LambekType):
         self.right = right
         self.degree = 1 + left.degree + right.degree
         self._conn = _C_PROD | left._conn | right._conn
+        self._pol = left._pol + right._pol
         self._hash = hash(("*", left._hash, right._hash))
 
     __hash__ = LambekType.__hash__

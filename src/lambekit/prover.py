@@ -20,6 +20,7 @@ from .core import (
     Rule,
     Sequent,
     Slash,
+    _Budget,
     in_fragment,
 )
 
@@ -63,7 +64,16 @@ _MISS = object()
 
 
 class ProofEngine:
-    """Reusable search engine; memoizes (sequent, config) -> proof-or-None.
+    """Reusable search engine; memoizes proof-or-None per configuration and
+    sequent, so the memo lives as long as the engine and no longer.
+
+    Search never expands a sequent whose weights do not balance (see
+    ``LambekType``): the query is checked once, and at every split the
+    minor premise (of /L and \\L) or the left premise (of *R) is checked
+    against a prefix sum before any ``Sequent`` is built.  The other
+    premise then balances automatically.  Skipped splits are exactly ones
+    that cannot succeed, so the proof found is the one exhaustive search
+    finds.
 
     Results are deterministic, so concurrent use can at worst recompute an
     entry another thread is filling in; both arrive at the same value.
@@ -72,7 +82,14 @@ class ProofEngine:
     def __init__(self):
         self._memo = {}
 
-    def prove(self, sequent: Sequent, config: CalculusConfig) -> SearchResult:
+    def prove(
+        self, sequent: Sequent, config: CalculusConfig, max_steps: Optional[int] = None
+    ) -> SearchResult:
+        """Decide the sequent; ``max_steps`` bounds the node expansions.
+
+        Running past the bound raises ``StepLimitExceeded``.  Only searches
+        that finished are memoized, so the engine stays usable afterwards.
+        """
         if not sequent.antecedent:
             raise FragmentError("provability query with empty antecedent")
         restriction = config.type_restriction
@@ -82,21 +99,38 @@ class ProofEngine:
                     f"type {t} falls outside the configured restriction"
                 )
         stats = SearchStats()
-        proof = self._search(sequent, config, stats)
+        if sum(t._pol for t in sequent.antecedent) != sequent.consequent._pol:
+            return SearchResult(False, None, stats)
+        memo = self._memo.setdefault(config, {})
+        search = _Search(memo, config.enabled_rules, stats, _Budget(max_steps))
+        proof = search.run(sequent)
         return SearchResult(proof is not None, proof, stats)
 
-    def _search(self, seq: Sequent, config: CalculusConfig, stats: SearchStats):
-        key = (seq, config)
-        hit = self._memo.get(key, _MISS)
+
+class _Search:
+    """One prove call: the configuration's memo, its rules, the counters and
+    the budget, shared by every node of the search."""
+
+    __slots__ = ("memo", "rules", "stats", "budget")
+
+    def __init__(self, memo: dict, rules: frozenset, stats: SearchStats, budget: _Budget):
+        self.memo = memo
+        self.rules = rules
+        self.stats = stats
+        self.budget = budget
+
+    def run(self, seq: Sequent):
+        hit = self.memo.get(seq, _MISS)
         if hit is not _MISS:
-            stats.memo_hits += 1
+            self.stats.memo_hits += 1
             return hit
-        stats.nodes_expanded += 1
-        proof = self._expand(seq, config, stats)
-        self._memo[key] = proof
+        self.stats.nodes_expanded += 1
+        self.budget.spend()
+        proof = self._expand(seq)
+        self.memo[seq] = proof
         return proof
 
-    def _expand(self, seq: Sequent, config: CalculusConfig, stats: SearchStats):
+    def _expand(self, seq: Sequent):
         ant = seq.antecedent
         goal = seq.consequent
         n = len(ant)
@@ -104,7 +138,13 @@ class ProofEngine:
         if n == 1 and ant[0] == goal:
             return Proof(seq, Rule.AXIOM)
 
-        rules = config.enabled_rules
+        # pre[k] is the weight of ant[:k], so ant[i:j] weighs pre[j] - pre[i]
+        pre = [0]
+        for t in ant:
+            pre.append(pre[-1] + t._pol)
+
+        run = self.run
+        rules = self.rules
         for rule in _RULE_ORDER:
             if rule not in rules:
                 continue
@@ -115,13 +155,14 @@ class ProofEngine:
                     if type(t) is not Slash:
                         continue
                     # conclusion ... (result/arg) G ... : minor G -> arg
+                    want = pre[i + 1] + t.arg._pol
                     for j in range(i + 2, n + 1):
-                        minor = self._search(Sequent(ant[i + 1 : j], t.arg), config, stats)
+                        if pre[j] != want:
+                            continue
+                        minor = run(Sequent(ant[i + 1 : j], t.arg))
                         if minor is None:
                             continue
-                        major = self._search(
-                            Sequent(ant[:i] + (t.result,) + ant[j:], goal), config, stats
-                        )
+                        major = run(Sequent(ant[:i] + (t.result,) + ant[j:], goal))
                         if major is not None:
                             return Proof(seq, rule, (minor, major), position=i)
 
@@ -131,15 +172,14 @@ class ProofEngine:
                     if type(t) is not Backslash:
                         continue
                     # conclusion ... G (arg\result) ... : minor G -> arg
+                    want = pre[i] - t.arg._pol
                     for j in range(i - 1, -1, -1):
-                        minor = self._search(Sequent(ant[j:i], t.arg), config, stats)
+                        if pre[j] != want:
+                            continue
+                        minor = run(Sequent(ant[j:i], t.arg))
                         if minor is None:
                             continue
-                        major = self._search(
-                            Sequent(ant[:j] + (t.result,) + ant[i + 1 :], goal),
-                            config,
-                            stats,
-                        )
+                        major = run(Sequent(ant[:j] + (t.result,) + ant[i + 1 :], goal))
                         if major is not None:
                             return Proof(seq, rule, (minor, major), position=j)
 
@@ -148,44 +188,36 @@ class ProofEngine:
                     t = ant[i]
                     if type(t) is not Product:
                         continue
-                    premise = self._search(
-                        Sequent(ant[:i] + (t.left, t.right) + ant[i + 1 :], goal),
-                        config,
-                        stats,
-                    )
+                    premise = run(Sequent(ant[:i] + (t.left, t.right) + ant[i + 1 :], goal))
                     if premise is not None:
                         return Proof(seq, rule, (premise,))
 
             elif rule is Rule.SLASH_R:
                 if type(goal) is Slash:
-                    premise = self._search(
-                        Sequent(ant + (goal.arg,), goal.result), config, stats
-                    )
+                    premise = run(Sequent(ant + (goal.arg,), goal.result))
                     if premise is not None:
                         return Proof(seq, rule, (premise,))
 
             elif rule is Rule.BACK_R:
                 if type(goal) is Backslash:
-                    premise = self._search(
-                        Sequent((goal.arg,) + ant, goal.result), config, stats
-                    )
+                    premise = run(Sequent((goal.arg,) + ant, goal.result))
                     if premise is not None:
                         return Proof(seq, rule, (premise,))
 
             elif rule is Rule.PROD_R:
                 if type(goal) is Product:
+                    want = goal.left._pol
                     for s in range(1, n):
-                        left = self._search(Sequent(ant[:s], goal.left), config, stats)
+                        if pre[s] != want:
+                            continue
+                        left = run(Sequent(ant[:s], goal.left))
                         if left is None:
                             continue
-                        right = self._search(Sequent(ant[s:], goal.right), config, stats)
+                        right = run(Sequent(ant[s:], goal.right))
                         if right is not None:
                             return Proof(seq, rule, (left, right), position=s)
 
         return None
-
-
-_default_engine = ProofEngine()
 
 
 def prove(
@@ -193,10 +225,11 @@ def prove(
 ) -> SearchResult:
     """Decide the sequent in the configured fragment, cut-free.
 
-    Identical queries return structurally identical proofs; results are
-    memoized per engine (a shared default engine serves module-level calls).
+    Identical queries return structurally identical proofs.  Results are
+    memoized per engine; without one, the call runs on a fresh engine, so
+    nothing is kept between module-level calls.
     """
-    return (engine or _default_engine).prove(sequent, config)
+    return (engine or ProofEngine()).prove(sequent, config)
 
 
 # --------------------------------------------------------------------------

@@ -318,8 +318,23 @@ class TestProveCommand:
         payload = json.loads(out)
         assert payload["provable"] is True
         assert payload["proof"]["rule"] == "/L"
-        # the shared engine may answer straight from its memo
-        assert payload["nodes_expanded"] >= 0
+        # every call searches on a fresh engine, so the root is expanded
+        assert payload["nodes_expanded"] > 0
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_budget_overrun_exits_3_without_verdict(self, capsys, extra):
+        # this sequent takes 8 node expansions
+        seq = "S/(B/D), B/C, C/D -> S"
+        code, out, err = run(capsys, "prove", seq, "--budget", "2", *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "budget" in err
+        code, out, _ = run(capsys, "prove", seq, "--budget", "8", *extra)
+        assert code == 0 and out
+
+    def test_budget_does_not_count_a_refuted_query(self, capsys):
+        # the counts do not balance, so no node is expanded
+        code, out, _ = run(capsys, "prove", "S/B, B, B -> S", "--budget", "0")
+        assert code == 1 and "not provable" in out
 
 
 class TestEnumerateCommand:
@@ -381,6 +396,44 @@ class TestCrosscheckCommand:
         payload = json.loads(out)
         assert payload["strings_tested"] == 4
         assert payload["agreements"] == 1
+
+
+def _run_main(tmp_path, *argv):
+    # a fresh interpreter, so the recursion limit is met at its usual depth
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    main_call = "import sys; from lambekit.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", main_call, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+
+
+class TestRecursionLimit:
+    """Input past Python's recursion limit ends in exit 3, not a traceback
+    under the "no" code."""
+
+    def test_deeply_nested_sequent(self, tmp_path):
+        n = 2000
+        result = _run_main(tmp_path, "prove", "(" * n + "S" + ")" * n + " -> S")
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:") and result.stdout == ""
+
+    def test_long_word_on_the_linear_chart(self, tmp_path):
+        g = parse_grammar_file((ROOT / "samples" / "anban.lcfg").read_text())
+        lex = tmp_path / "anban.lex"
+        lex.write_text(format_lexicon(lcfg_to_lambek(g)))
+        word = "a" * 500 + "b" + "a" * 500
+        result = _run_main(tmp_path, "decide", str(lex), word)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:") and result.stdout == ""
 
 
 class TestEntryPoint:

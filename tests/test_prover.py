@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,6 +23,7 @@ from lambekit import (
     Sequent,
     Slash,
     SLASH_FRAGMENT,
+    StepLimitExceeded,
     TypeRestriction,
     eliminate_cut,
     parse_sequent,
@@ -159,6 +162,101 @@ class TestSearchProperties:
                 pool.map(lambda s: shared.prove(s, FULL_CALCULUS).provable, batch)
             )
         assert got == expected
+
+
+def _count(t, sign, out) -> None:
+    if type(t) is Primitive:
+        out[t.name] += sign
+    elif type(t) is Product:
+        _count(t.left, sign, out)
+        _count(t.right, sign, out)
+    else:  # A/B and B\A: the result counts with the type, the argument against
+        _count(t.result, sign, out)
+        _count(t.arg, -sign, out)
+
+
+def balanced(seq: Sequent) -> bool:
+    """Each primitive occurs as often, by polarity, on both sides."""
+    out = Counter()
+    for t in seq.antecedent:
+        _count(t, 1, out)
+    _count(seq.consequent, -1, out)
+    return not any(out.values())
+
+
+def _theorems_and_variants(seed: int, count: int):
+    """proofgen endsequents, each followed by one adjacent-swap variant
+    (same counts, mostly unprovable) and one with a type dropped (counts
+    usually off)."""
+    rng = random.Random(seed)
+    for allow_back in (False, True):
+        for proof, config in proofgen.generate(seed, count, allow_back):
+            seq = proof.conclusion
+            yield seq, config
+            ant = seq.antecedent
+            if len(ant) > 1:
+                k = rng.randrange(len(ant) - 1)
+                swapped = ant[:k] + (ant[k + 1], ant[k]) + ant[k + 2 :]
+                yield Sequent(swapped, seq.consequent), config
+                k = rng.randrange(len(ant))
+                yield Sequent(ant[:k] + ant[k + 1 :], seq.consequent), config
+
+
+class TestCountInvariant:
+    """Search only ever proves sequents whose primitive counts balance, and
+    refutes an unbalanced query without expanding it."""
+
+    def test_unbalanced_query_expands_nothing(self):
+        eng = ProofEngine()
+        seq = parse_sequent("S/B, B, B -> S")
+        for _ in range(2):
+            result = eng.prove(seq, FULL_CALCULUS)
+            assert not result.provable and result.proof is None
+            assert result.stats.nodes_expanded == 0
+            assert result.stats.memo_hits == 0
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_proofgen_theorems_and_variants(self, seed):
+        proved = refuted = 0
+        for seq, config in _theorems_and_variants(seed, 40):
+            for cfg in (config, FULL_CALCULUS):
+                result = ProofEngine().prove(seq, cfg)
+                if not balanced(seq):
+                    assert not result.provable, seq
+                    assert result.stats.nodes_expanded == 0, seq
+                    refuted += 1
+                if result.provable:
+                    assert validate(result.proof, cfg) == []
+                    for _, node in result.proof.nodes():
+                        assert balanced(node.conclusion), node.conclusion
+                    proved += 1
+                if cfg is config and seq.connective_count <= 8:
+                    assert result.provable == naive(seq, cfg.enabled_rules), seq
+        assert proved > 80 and refuted > 0
+
+
+class TestBudget:
+    SEQUENTS = [
+        "S/(B/D), B/C, C/D -> S",
+        "A\\B, B\\S -> A\\S",
+        "S/B, B*C -> S*C",
+        "S*B -> B*S",
+    ]
+
+    @pytest.mark.parametrize("text", SEQUENTS)
+    def test_overrun_memoizes_nothing_partial(self, text):
+        seq = parse_sequent(text)
+        fresh = ProofEngine().prove(seq, FULL_CALCULUS)
+        needed = fresh.stats.nodes_expanded
+        assert needed > 1
+        assert ProofEngine().prove(seq, FULL_CALCULUS, max_steps=needed).proof == fresh.proof
+        for steps in range(needed):
+            eng = ProofEngine()
+            with pytest.raises(StepLimitExceeded):
+                eng.prove(seq, FULL_CALCULUS, max_steps=steps)
+            again = eng.prove(seq, FULL_CALCULUS)
+            assert again.provable == fresh.provable
+            assert again.proof == fresh.proof
 
 
 class TestAgainstBruteforce:
