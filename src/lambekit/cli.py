@@ -448,7 +448,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_prove(args) -> int:
     sequent = parse_sequent(args.sequent)
-    if args.rules:
+    if args.rules is not None:
         names = [r.strip() for r in args.rules.split(",") if r.strip()]
         bad = [n for n in names if n not in _RULES_BY_NAME]
         if bad:
@@ -527,6 +527,22 @@ def _cmd_crosscheck(args) -> int:
 # argument parsing
 
 
+def _count(least: int):
+    # an argparse type: an integer no smaller than least, else a usage error
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambekit",
@@ -563,25 +579,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", help="symbols separated by spaces, or run together")
     p.add_argument("--fragment", choices=sorted(_FRAGMENTS))
     p.add_argument("--proof", action="store_true", help="print a derivation")
-    p.add_argument("--budget", type=int, help="per-string step budget")
+    p.add_argument("--budget", type=_count(0), help="per-string step budget")
 
     p = add("prove", _cmd_prove, "run the sequent prover")
     p.add_argument("sequent", help="e.g. 'S/B, B -> S'")
     p.add_argument("--rules", help="comma-separated rules, e.g. '/L,\\L'")
-    p.add_argument("--budget", type=int, help="node-expansion budget for the search")
+    p.add_argument("--budget", type=_count(0), help="node-expansion budget for the search")
 
     p = add("enumerate", _cmd_enumerate, "list the language up to a length bound")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_count(1), required=True)
     p.add_argument("--fragment", choices=sorted(_FRAGMENTS))
-    p.add_argument("--budget", type=int, help="per-string step budget")
+    p.add_argument("--budget", type=_count(0), help="per-string step budget")
 
     p = add("crosscheck", _cmd_crosscheck, "compare two languages string by string")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_count(1), required=True)
     p.add_argument("--exhaustive", action="store_true", help="keep going past the first disagreement")
-    p.add_argument("--budget", type=int, help="per-string step budget")
+    p.add_argument("--budget", type=_count(0), help="per-string step budget")
     p.add_argument("--fragment", choices=sorted(_FRAGMENTS))
 
     return parser

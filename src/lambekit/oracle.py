@@ -1,10 +1,12 @@
 """Ground-truth membership deciders and the exhaustive cross-check harness.
 
 Two independent routes exist for everything at desk scale: grammars are
-decided by bounded leftmost derivation (GNF) or CYK, lexicons by the span
-chart and NFA of ``recognizer`` run over the word, or by raw proof search
-over every type assignment.  ``crosscheck`` walks all strings up to a
-length bound and reports the first point where two deciders part ways.
+decided by a right-to-left sweep over a GNF grammar's terminal-first rules
+or by CYK, each ``CfgDecider`` building its route's tables once; lexicons
+by the span chart and NFA of ``recognizer`` run over the word, or by raw
+proof search over every type assignment.  ``crosscheck`` walks all strings
+up to a length bound and reports the first point where two deciders part
+ways.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -71,41 +72,31 @@ def enumerate_strings(alphabet: Iterable[str], max_len: int) -> Iterator[tuple]:
 # CFG membership
 
 
-@lru_cache(maxsize=128)
-def _gnf_tables(g: Cfg) -> dict:
-    tables: dict = {}
-    for p in g.productions:
-        tables.setdefault((p.lhs, p.rhs[0]), []).append(p.rhs[1:])
-    return tables
-
-
-def _gnf_member(g: Cfg, w: tuple, budget: _Budget) -> bool:
-    """Bounded leftmost derivation: each step consumes one terminal, and an
-    epsilon-free stack longer than the remaining input is dead."""
-    tables = _gnf_tables(g)
+def _gnf_member(rules: dict, start: str, w: tuple, budget: _Budget) -> bool:
+    """Right-to-left sweep: ends[i][A] is a bitmask of the end positions e
+    with A =>* w[i:e].  A GNF rule consumes its terminal first, so column i
+    is built from later columns only, each (position, rule) tried once."""
     n = len(w)
-    dead = set()
+    ends: list = [None] * n + [{}]
+    for i in range(n - 1, -1, -1):
+        col: dict = {}
+        for lhs, tail in rules.get(w[i], ()):
+            budget.spend()
+            reach = 1 << (i + 1)
+            for sym in tail:
+                # every end of sym from every position the prefix reaches
+                step = 0
+                while reach:
+                    low = reach & -reach
+                    step |= ends[low.bit_length() - 1].get(sym, 0)
+                    reach ^= low
+                reach = step
+            if reach:
+                col[lhs] = col.get(lhs, 0) | reach
+        ends[i] = col
+    return bool(ends[0].get(start, 0) >> n & 1)
 
-    def go(pos: int, stack: tuple) -> bool:
-        budget.spend()
-        if pos == n:
-            return not stack
-        if not stack or len(stack) > n - pos:
-            return False
-        key = (pos, stack)
-        if key in dead:
-            return False
-        head, rest = stack[0], stack[1:]
-        for tail in tables.get((head, w[pos]), ()):
-            if go(pos + 1, tail + rest):
-                return True
-        dead.add(key)
-        return False
 
-    return go(0, (g.start,))
-
-
-@lru_cache(maxsize=128)
 def _cnf_tables(g: Cfg):
     """Chomsky-ish tables for CYK: unit-free terminal rules and binarized
     long rules.  Fresh symbols are opaque tuples, immune to name clashes."""
@@ -137,8 +128,8 @@ def _cnf_tables(g: Cfg):
     return terminal_heads, pair_heads
 
 
-def _cyk_member(g: Cfg, w: tuple, budget: _Budget) -> bool:
-    terminal_heads, pair_heads = _cnf_tables(g)
+def _cyk_member(tables, start: str, w: tuple, budget: _Budget) -> bool:
+    terminal_heads, pair_heads = tables
     n = len(w)
     chart: dict = {}
     for i, sym in enumerate(w):
@@ -153,7 +144,7 @@ def _cyk_member(g: Cfg, w: tuple, budget: _Budget) -> bool:
                 for pair in itertools.product(left, right):
                     cell.update(pair_heads.get(pair, ()))
             chart[(i, j)] = cell
-    return g.start in chart[(0, n)]
+    return start in chart[(0, n)]
 
 
 def cfg_member(
@@ -161,32 +152,41 @@ def cfg_member(
 ) -> bool:
     """Decide whether the grammar derives the string.
 
-    method: "auto" picks the bounded leftmost search for GNF grammars and
-    CYK otherwise; "gnf" and "cyk" force a route (the former requires GNF).
+    method: "auto" picks the GNF sweep for GNF grammars and CYK otherwise;
+    "gnf" and "cyk" force a route (the former requires GNF).  Build a
+    CfgDecider directly to build the route's tables once for many strings.
     """
     return CfgDecider(g, method)(w, max_steps)
 
 
 class CfgDecider:
-    """cfg_member with the route fixed up front; usable as a crosscheck arm."""
+    """Membership decider for one grammar; usable as a crosscheck arm.
+
+    The route ("gnf" or "cyk", in ``method``) is chosen and its tables are
+    built once, here: GNF rules by their terminal for the sweep, unit-free
+    binarized rules for CYK.  A call only checks the word and runs the route.
+    """
 
     def __init__(self, g: Cfg, method: str = "auto"):
         self.grammar = g
         if method == "auto":
             method = "gnf" if classify_cfg(g).is_gnf else "cyk"
+        elif method == "gnf" and not classify_cfg(g).is_gnf:
+            raise FragmentError("the GNF sweep requires Greibach normal form")
+        if method == "gnf":
+            rules: dict = {}
+            for p in g.productions:
+                rules.setdefault(p.rhs[0], []).append((p.lhs, p.rhs[1:]))
+            self._tables, self._member = rules, _gnf_member
+        elif method == "cyk":
+            self._tables, self._member = _cnf_tables(g), _cyk_member
+        else:
+            raise ValueError(f"unknown method {method!r}")
         self.method = method
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
-        g = self.grammar
-        word = _checked_word(w, g.terminal_set)
-        budget = _Budget(max_steps)
-        if self.method == "gnf":
-            if not classify_cfg(g).is_gnf:
-                raise FragmentError("leftmost search requires Greibach normal form")
-            return _gnf_member(g, word, budget)
-        if self.method == "cyk":
-            return _cyk_member(g, word, budget)
-        raise ValueError(f"unknown method {self.method!r}")
+        word = _checked_word(w, self.grammar.terminal_set)
+        return self._member(self._tables, self.grammar.start, word, _Budget(max_steps))
 
 
 # --------------------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_criterion_5_cut_elimination_at_scale(allow_back):
 
 
 def test_criterion_6_membership_routes_agree():
-    """The bounded leftmost decider and CYK agree on every corpus grammar
-    for every string up to length 8."""
+    """The GNF sweep and CYK agree on every corpus grammar for every string
+    up to length 8."""
     started = time.perf_counter()
     checked = 0
     for name, (build, predicate) in sorted(corpus.LANGUAGES.items()):

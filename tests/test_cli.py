@@ -281,6 +281,15 @@ class TestDecideCommand:
         code, _, err = run(capsys, "decide", grammar, "ab", "--fragment", "full")
         assert code == 3 and "error:" in err
 
+    def test_deep_dyck_word_needs_no_budget(self, capsys):
+        dyck = str(ROOT / "samples" / "dyck.cfg")
+        word = "l" * 300 + "r" * 300
+        code, out, _ = run(capsys, "decide", dyck, word)
+        assert code == 0 and out == "member\n"
+        code, out, err = run(capsys, "decide", dyck, word, "--budget", "5")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "budget" in err
+
     def test_json(self, files, capsys):
         _, _, lexicon = files
         code, out, _ = run(capsys, "decide", lexicon, "ab", "--json")
@@ -304,6 +313,14 @@ class TestProveCommand:
         seq = "S/(B/D), B/C, C/D -> S"
         assert run(capsys, "prove", seq)[0] == 0
         assert run(capsys, "prove", seq, "--rules", "/L,\\L")[0] == 1
+
+    def test_empty_rules_mean_axiom_only(self, capsys):
+        # an explicit empty list is no rules, as ',' already is
+        for rules in ("", ","):
+            code, out, _ = run(capsys, "prove", "S/B, B -> S", "--rules", rules)
+            assert code == 1 and "not provable" in out
+        code, out, _ = run(capsys, "prove", "S -> S", "--rules", "")
+        assert code == 0 and "[axiom]" in out
 
     def test_bad_rule_name(self, capsys):
         code, _, err = run(capsys, "prove", "S -> S", "--rules", "/Q")
@@ -396,6 +413,41 @@ class TestCrosscheckCommand:
         payload = json.loads(out)
         assert payload["strings_tested"] == 4
         assert payload["agreements"] == 1
+
+
+class TestBadCounts:
+    """--max-len below 1 and --budget below 0 are usage errors: exit 2
+    with argparse's one-line message, before any file is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "F", "--max-len", "0"),
+            ("enumerate", "F", "--max-len", "-3"),
+            ("enumerate", "F", "--max-len", "2", "--budget", "-1"),
+            ("crosscheck", "F", "F", "--max-len", "0"),
+            ("crosscheck", "F", "F", "--max-len", "-1"),
+            ("crosscheck", "F", "F", "--max-len", "2", "--budget", "-5"),
+            ("decide", "F", "ab", "--budget", "-1"),
+            ("decide", "F", "ab", "--budget", "many"),
+            ("prove", "S -> S", "--budget", "-1"),
+            ("prove", "S -> S", "--budget", "1.5"),
+        ],
+    )
+    def test_usage_error(self, files, capsys, argv):
+        _, grammar, _ = files
+        argv = [grammar if a == "F" else a for a in argv]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        err = capsys.readouterr().err
+        assert e.value.code == 2
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"lambekit {argv[0]}: error: argument")
+
+    def test_zero_budget_is_a_budget(self, files, capsys):
+        _, grammar, _ = files
+        code, _, err = run(capsys, "decide", grammar, "ab", "--budget", "0")
+        assert code == 3 and "budget" in err
 
 
 def _run_main(tmp_path, *argv):

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from lambekit import (
     infer_config,
     lambek_member,
     lcfg_to_lambek,
+    parse_grammar_file,
     reg_to_lambek,
     to_gnf,
     validate,
@@ -33,6 +35,12 @@ from lambekit import (
 import corpus
 
 S, B, C, D = (Primitive(x) for x in "SBCD")
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _sample(name):
+    return parse_grammar_file((SAMPLES / name).read_text())
 
 
 class TestEnumerateStrings:
@@ -101,6 +109,30 @@ class TestCfgMember:
         assert cfg_member(g, word, max_steps=100_000)
         with pytest.raises(StepLimitExceeded):
             cfg_member(g, word, max_steps=3)
+
+    @pytest.mark.parametrize(
+        "name,word,member",
+        [
+            ("dyck.cfg", "l" * 300 + "r" * 300, True),
+            ("dyck.cfg", "l" * 300 + "r" * 299 + "l", False),
+            ("anbn.cfg", "a" * 600 + "b" * 600, True),
+            ("anbn.cfg", "a" * 600 + "b" * 599, False),
+        ],
+        ids=["dyck-300", "dyck-300-miss", "anbn-600", "anbn-600-miss"],
+    )
+    def test_gnf_sweep_is_linear_in_rules_tried(self, name, word, member):
+        # each (position, rule) is tried once, with no recursion per symbol
+        g = _sample(name)
+        decider = CfgDecider(g)
+        assert decider.method == "gnf"
+        assert decider(word, max_steps=len(word) * len(g.productions)) == member
+
+    @pytest.mark.parametrize("name", ["dyck.cfg", "anbn.cfg"])
+    def test_gnf_sweep_matches_cyk_up_to_length_12(self, name):
+        g = _sample(name)
+        sweep, cyk = CfgDecider(g, "gnf"), CfgDecider(g, "cyk")
+        for w in enumerate_strings(g.terminals, 12):
+            assert sweep(w) == cyk(w), w
 
 
 ANBN_LEX = cfg_to_lambek(to_gnf(corpus.anbn()))
