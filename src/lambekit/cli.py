@@ -288,6 +288,11 @@ def _decider(g: Union[Cfg, LambekGrammar], args):
     return LambekDecider(g, config)
 
 
+def _check_fragment(args, *grammars) -> None:
+    if args.fragment and not any(isinstance(g, LambekGrammar) for g in grammars):
+        raise FragmentError("--fragment applies to lexicon input only")
+
+
 def _lenient(decider):
     # crosscheck arms may have different alphabets; a symbol one side
     # cannot spell is simply not in its language
@@ -312,47 +317,31 @@ def _cmd_classify(args) -> int:
     g = load_grammar_file(args.file)
     if isinstance(g, LambekGrammar):
         config = infer_config(g)
-        name = next(k for k, v in _FRAGMENTS.items() if v == config)
-        degrees = [t.degree for t in g.all_types()] or [0]
-        payload = {
-            "command": "classify",
+        fields = {
             "kind": "lexicon",
-            "fragment": name,
+            "fragment": next(k for k, v in _FRAGMENTS.items() if v == config),
             "symbols": len(g.alphabet),
             "types": len(g.all_types()),
-            "max_degree": max(degrees),
+            "max_degree": max([t.degree for t in g.all_types()] or [0]),
         }
-        text = (
-            f"kind: lexicon\nfragment: {name}\n"
-            f"symbols: {len(g.alphabet)}\ntypes: {len(g.all_types())}\n"
-            f"max degree: {max(degrees)}\n"
-        )
-        _emit(args, payload, text)
-        return 0
-    c = classify_cfg(g)
-    flags = {
-        "lcfg": c.is_lcfg,
-        "right_regular": c.is_right_regular,
-        "left_regular": c.is_left_regular,
-        "gnf": c.is_gnf,
-    }
-    payload = {
-        "command": "classify",
-        "kind": "grammar",
-        "nonterminals": len(g.nonterminals),
-        "terminals": len(g.terminals),
-        "productions": len(g.productions),
-        **flags,
-    }
-    text = (
-        f"kind: grammar\nnonterminals: {len(g.nonterminals)}\n"
-        f"terminals: {len(g.terminals)}\nproductions: {len(g.productions)}\n"
-        + "".join(
-            f"{k.replace('_', '-')}: {'yes' if v else 'no'}\n"
-            for k, v in flags.items()
-        )
-    )
-    _emit(args, payload, text)
+        flags = {}
+    else:
+        c = classify_cfg(g)
+        fields = {
+            "kind": "grammar",
+            "nonterminals": len(g.nonterminals),
+            "terminals": len(g.terminals),
+            "productions": len(g.productions),
+        }
+        flags = {
+            "lcfg": c.is_lcfg,
+            "right_regular": c.is_right_regular,
+            "left_regular": c.is_left_regular,
+            "gnf": c.is_gnf,
+        }
+    text = "".join(f"{k.replace('_', ' ')}: {v}\n" for k, v in fields.items())
+    text += "".join(f"{k.replace('_', '-')}: {'yes' if v else 'no'}\n" for k, v in flags.items())
+    _emit(args, {"command": "classify", **fields, **flags}, text)
     return 0
 
 
@@ -426,12 +415,12 @@ def _cmd_decide(args) -> int:
         raise FragmentError("--fragment and --proof apply to lexicon input only")
     word = _split_word(args.word, set(_alphabet(g)))
     decider = _decider(g, args)
-    member = decider(word, max_steps=args.budget)
-    proof_text = None
-    if args.proof and member:
-        found = decider.find_proof(word)
-        if found is not None:
-            proof_text = format_proof(found)
+    if args.proof:
+        proof = decider.find_proof(word, max_steps=args.budget)
+        member = proof is not None
+    else:
+        member = decider(word, max_steps=args.budget)
+    proof_text = format_proof(proof) if args.proof and member else None
     payload = {
         "command": "decide",
         "word": list(word),
@@ -478,6 +467,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = load_grammar_file(args.file)
+    _check_fragment(args, g)
     decider = _decider(g, args)
     members = [
         word
@@ -498,6 +488,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_crosscheck(args) -> int:
     a = load_grammar_file(args.file_a)
     b = load_grammar_file(args.file_b)
+    _check_fragment(args, a, b)
     alphabet = sorted(set(_alphabet(a)) | set(_alphabet(b)))
     report = crosscheck(
         _lenient(_decider(a, args)),

@@ -217,43 +217,33 @@ def connectives(t: LambekType) -> frozenset:
 
 def subtypes(t: LambekType) -> frozenset:
     """All subtypes of t, t included."""
-    out = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u in out:
-            continue
-        out.add(u)
-        if isinstance(u, Slash):
-            stack.extend((u.result, u.arg))
-        elif isinstance(u, Backslash):
-            stack.extend((u.arg, u.result))
-        elif isinstance(u, Product):
-            stack.extend((u.left, u.right))
-    return frozenset(out)
+    return frozenset(_subtype_walk(t)[1])
 
 
 def subtypes_in_order(t: LambekType) -> list:
     """Subtypes of t in deterministic pre-order, duplicates removed."""
+    return _subtype_walk(t)[0]
+
+
+def _subtype_walk(t: LambekType) -> tuple:
+    # the pre-order list and the set of its members, from one walk
     out: list[LambekType] = []
-    seen = set()
-
-    def walk(u: LambekType) -> None:
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-            if isinstance(u, Slash):
-                walk(u.result)
-                walk(u.arg)
-            elif isinstance(u, Backslash):
-                walk(u.arg)
-                walk(u.result)
-            elif isinstance(u, Product):
-                walk(u.left)
-                walk(u.right)
-
-    walk(t)
-    return out
+    seen: set = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        out.append(u)
+        # children pushed last-first, so the first is visited next
+        if isinstance(u, Slash):
+            stack += (u.arg, u.result)
+        elif isinstance(u, Backslash):
+            stack += (u.result, u.arg)
+        elif isinstance(u, Product):
+            stack += (u.right, u.left)
+    return out, seen
 
 
 def spine_decompositions(t: LambekType):

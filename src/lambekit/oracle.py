@@ -4,9 +4,10 @@ Two independent routes exist for everything at desk scale: grammars are
 decided by a right-to-left sweep over a GNF grammar's terminal-first rules
 or by CYK, each ``CfgDecider`` building its route's tables once; lexicons
 by the span chart and NFA of ``recognizer`` run over the word, or by raw
-proof search over every type assignment.  ``crosscheck`` walks all strings
-up to a length bound and reports the first point where two deciders part
-ways.
+proof search over every type assignment.  A lexicon's derivations come
+from the same routes: read off the chart that decided membership, or found
+by the search.  ``crosscheck`` walks all strings up to a length bound and
+reports the first point where two deciders part ways.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import (
     FragmentError,
     GrammarError,
     LambekGrammar,
-    Primitive,
+    Proof,
     Rule,
     Sequent,
     StepLimitExceeded,
@@ -37,6 +38,7 @@ from .core import (
 from .prover import ProofEngine
 from .recognizer import (
     ReductionTable,
+    _derive,
     nfa_member,
     reduce_linear,
     reduce_regular,
@@ -221,10 +223,13 @@ class LambekDecider:
 
     method "auto" runs the fragment's ``ReductionTable`` or NFA over the
     word with lexicon choices folded in (per-span results are shared across
-    type assignments, and across calls); "recognizer" and "prove" enumerate
-    type assignments one by one and hand each to the fragment recognizer or
-    the prover.  All three agree; the slower routes exist to keep each
-    other honest in tests.
+    type assignments, and across calls), and is "prove" outside the chart
+    fragments; "recognizer" and "prove" enumerate type assignments one by
+    one and hand each to the fragment recognizer or the prover.  All three
+    agree; the slower routes keep each other honest in tests.  A budget
+    step is a chart expansion or NFA position on the chart routes, and
+    elsewhere a type assignment tried or a search node expanded.
+    ``find_proof`` decides and derives in one call.
     """
 
     def __init__(
@@ -259,40 +264,48 @@ class LambekDecider:
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self.grammar.lexicon)
         budget = _Budget(max_steps)
-        target = self.grammar.target
+        lex, target = self.grammar.lexicon, self.grammar.target
         if self.method == "auto" and self._fragment is not None:
             # lexicon choices resolved per span, spans shared across calls
-            lex = self.grammar.lexicon
             if self._fragment is REGULAR_FRAGMENT:
                 return nfa_member(word, lex, target, budget)
             table = ReductionTable(word, self._span_memo, lex, budget)
             return table.reduce(0, len(word), target)
-        holds = self._recognize if self.method == "recognizer" else self._provable
-        if holds is None:
+        if self.method != "recognizer":
+            return self._first(word, budget, self._proof) is not None
+        if self._recognize is None:
             raise FragmentError("no recognizer covers this lexicon/configuration; use prove")
-        # every element of the pointwise extension, one at a time
-        for assignment in self._assignments(word):
-            budget.spend()
-            if holds(assignment, target):
-                return True
-        return False
+        return self._first(word, budget, lambda seq, _: self._recognize(seq, target)) is not None
 
-    def _assignments(self, word: tuple) -> Iterator[tuple]:
-        return itertools.product(*(self.grammar.lexicon[sym] for sym in word))
-
-    def _provable(self, assignment: tuple, target: Primitive) -> bool:
-        return self._engine.prove(Sequent(assignment, target), self.config).provable
-
-    def find_proof(self, w: Word):
-        """A derivation witnessing membership, or None.  Searches type
-        assignments in canonical order and proves the first that works."""
+    def find_proof(self, w: Word, max_steps: Optional[int] = None) -> Optional[Proof]:
+        """A derivation of a type assignment of the word to the target, or
+        None for a non-member; ``max_steps`` as in ``__call__``.  In a chart
+        fragment (regular too: the slash chart decides it as well) it is read
+        off the chart that decided membership, elsewhere found by search."""
         word = _checked_word(w, self.grammar.lexicon)
+        budget = _Budget(max_steps)
+        if self._fragment is None:
+            return self._first(word, budget, self._proof)
         target = self.grammar.target
-        for assignment in self._assignments(word):
-            result = self._engine.prove(Sequent(assignment, target), self.config)
-            if result.provable:
-                return result.proof
+        table = ReductionTable(word, self._span_memo, self.grammar.lexicon, budget)
+        return _derive(table, target) if table.reduce(0, len(word), target) else None
+
+    def _first(self, word: tuple, budget: _Budget, holds: Callable):
+        """What ``holds(assignment, budget)`` finds for the first type
+        assignment of the word, in canonical order; one step per try."""
+        for assignment in itertools.product(*(self.grammar.lexicon[s] for s in word)):
+            budget.spend()
+            found = holds(assignment, budget)
+            if found:
+                return found
         return None
+
+    def _proof(self, assignment: tuple, budget: _Budget) -> Optional[Proof]:
+        # the search runs on what is left of the budget, then pays for it
+        seq = Sequent(assignment, self.grammar.target)
+        result = self._engine.prove(seq, self.config, max_steps=budget.left)
+        budget.spend(result.stats.nodes_expanded)
+        return result.proof
 
 
 def lambek_member(

@@ -22,6 +22,7 @@ from .core import (
     Slash,
     _Budget,
     in_fragment,
+    INFERENCE_RULES,
 )
 
 
@@ -410,9 +411,6 @@ def _check_node(node: Proof, config: CalculusConfig, path, out) -> None:
 # cut elimination
 
 _LEFT_SLASH_RULES = frozenset({Rule.SLASH_L, Rule.BACK_L})
-_ALL_SIX = frozenset(
-    {Rule.SLASH_L, Rule.SLASH_R, Rule.BACK_L, Rule.BACK_R, Rule.PROD_L, Rule.PROD_R}
-)
 
 
 def eliminate_cut(
@@ -427,7 +425,7 @@ def eliminate_cut(
     would mean the guarantee is wrong (or the search is).
     """
     rules = config.enabled_rules
-    if not (rules <= _LEFT_SLASH_RULES or rules == _ALL_SIX):
+    if not (rules <= _LEFT_SLASH_RULES or rules == INFERENCE_RULES):
         raise FragmentError(
             "cut elimination supports rule sets within {/L, \\L} or all six rules; "
             f"got {sorted(r.value for r in rules)}"

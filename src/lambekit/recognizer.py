@@ -9,6 +9,8 @@ chunks reducing to the arguments (the /L-only slash fragment), or, with
 degree-one {/, \\} types, when its last candidate is A\\target and the front
 reduces to A (the linear fragment).  For degree-one /-only types
 ``nfa_member`` decides in one left-to-right pass (the regular fragment).
+A decided chart is also the derivation: ``_derive`` reads the /L and \\L
+steps that ``reduce`` found back off its memo.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ class ReductionTable:
     ``reduce(i, j, target)`` says whether positions i..j-1 reduce to target
     by the left rules.  Position k offers ``seq[k]`` alone or, when ``seq``
     is a word, the types ``lexicon[seq[k]]``; ``types`` holds ``seq`` as a
-    tuple.  A table serves one query
-    sequence; ``shared`` optionally points at a cross-query map keyed by
-    (span-as-tuple, target) so separate tables can reuse results.  ``ops``
+    tuple.  A table serves one query sequence; ``shared`` optionally points
+    at a cross-query map keyed by (span-as-tuple, target) so separate
+    tables can reuse results, and ``_derive`` reads proofs off it.  ``ops``
     counts chart expansions, which the tests use to bound the growth rate;
     each is charged to ``budget`` when one is given.
     """
@@ -193,33 +195,61 @@ def reduce_slash_proof(
     """Like reduce_slash, but reconstruct a checkable derivation on success."""
     seq = _query(seq, target, SLASH_FRAGMENT, "uses connectives other than /")
     tbl = ReductionTable(seq)
-    if not tbl.reduce(0, len(seq), target):
-        return None
-    return _rebuild(tbl, 0, len(seq), target)
+    return _derive(tbl, target) if tbl.reduce(0, len(seq), target) else None
 
 
-def _rebuild(tbl: ReductionTable, i: int, j: int, target: LambekType) -> Proof:
-    for head, args in spine_decompositions(tbl.types[i]):
-        if head == target and tbl._split(i + 1, j, args):
-            return _apply(tbl, tbl.types[i], i + 1, j, target, args)
-    raise AssertionError(f"lost the witness for span ({i}, {j}) -> {target}")
+def _derive(tbl: ReductionTable, target: LambekType) -> Proof:
+    """The derivation of all positions => target that a chart holding
+    ``reduce(0, n, target)`` witnesses, read off its memo.  The walk keeps
+    its own stack: a proof as tall as the word needs no frame per level."""
+    order, todo = [], [(0, len(tbl.types), target)]
+    while todo:  # pre-order, leftmost argument span next
+        i, j, goal = todo.pop()
+        steps = _steps(tbl, i, j, goal)
+        order.append((goal, [functor for functor, _ in steps]))
+        todo.extend(span for _, span in reversed(steps))
+    built: list = []
+    for goal, functors in reversed(order):  # every span after its arguments
+        minors = [built.pop() for _ in functors]
+        proof = Proof(Sequent((goal,), goal), Rule.AXIOM)
+        for functor, minor in zip(reversed(functors), reversed(minors)):
+            arg_ant, rest = minor.conclusion.antecedent, proof.conclusion.antecedent[1:]
+            if type(functor) is Backslash:
+                ant, rule = arg_ant + (functor,) + rest, Rule.BACK_L
+            else:
+                ant, rule = (functor,) + arg_ant + rest, Rule.SLASH_L
+            proof = Proof(Sequent(ant, goal), rule, (minor, proof), position=0)
+        built.append(proof)
+    return built[0]
 
 
-def _apply(
-    tbl: ReductionTable, functor: LambekType, i: int, j: int, target: LambekType, args: tuple
-) -> Proof:
-    """Derive functor, types[i:j] => target by one /L per argument, the
-    outermost argument first, taking the leftmost split the chart allows."""
-    if not args:
-        return Proof(Sequent((target,), target), Rule.AXIOM)
-    first, rest = args[0], args[1:]
-    for m in range(i + 1, j - len(rest) + 1):
-        if tbl.reduce(i, m, first) and tbl._split(m, j, rest):
-            minor = _rebuild(tbl, i, m, first)
-            major = _apply(tbl, functor.result, m, j, target, rest)
-            conclusion = Sequent((functor,) + tbl.types[i:j], target)
-            return Proof(conclusion, Rule.SLASH_L, (minor, major), position=0)
-    raise AssertionError("split witness vanished")
+def _steps(tbl: ReductionTable, i: int, j: int, goal: LambekType) -> list:
+    """How ``reduce`` derived positions i..j-1 => goal, trying what it tried
+    in its order: one (functor, span of its argument) per /L or \\L step,
+    outermost first, or none for an axiom.  Takes the first candidate,
+    spine and leftmost split that work."""
+    width = j - i
+    lex, first, last = tbl._lexicon, tbl.types[i], tbl.types[j - 1]
+    for t in (first,) if lex is None else lex[first]:
+        for head, args in spine_decompositions(t):
+            if head != goal or len(args) >= width or not tbl._split(i + 1, j, args):
+                continue
+            steps, functor, m = [], t, i + 1
+            for k, arg in enumerate(args):
+                rest = args[k + 1 :]
+                end = j if not rest else next(
+                    e for e in range(m + 1, j - len(rest) + 1)
+                    if tbl.reduce(m, e, arg) and tbl._split(e, j, rest)
+                )
+                steps.append((functor, (m, end, arg)))
+                functor, m = functor.result, end
+            return steps
+    if width > 1:
+        for t in (last,) if lex is None else lex[last]:
+            if type(t) is Backslash and t.degree == 1 and t.result == goal:
+                if tbl.reduce(i, j - 1, t.arg):
+                    return [(t, (i, j - 1, t.arg))]
+    raise AssertionError(f"lost the witness for span ({i}, {j}) -> {goal}")
 
 
 # --------------------------------------------------------------------------

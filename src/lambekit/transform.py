@@ -175,6 +175,23 @@ def _fresh_namer(taken: set):
     return make
 
 
+def _substitute(rules: dict, a: str, heads) -> None:
+    """Replace each rule of a whose head is in heads by that head's rules
+    followed by its tail, until no rule of a starts with one of heads."""
+    for _ in range(_SUBST_LIMIT):
+        expanded, changed = [], False
+        for rhs in rules[a]:
+            if rhs[0] in heads:
+                changed = True
+                expanded.extend(sub + rhs[1:] for sub in rules[rhs[0]])
+            else:
+                expanded.append(rhs)
+        if not changed:
+            return
+        rules[a] = expanded
+    raise AssertionError(f"substitution for {a} did not converge")
+
+
 def to_gnf(g: Cfg) -> Cfg:
     """Convert to Greibach normal form (every rule: terminal, then
     nonterminals).  Grammars already in GNF come back unchanged."""
@@ -183,7 +200,6 @@ def to_gnf(g: Cfg) -> Cfg:
     g = remove_unit_productions(g)
 
     order = list(g.nonterminals)
-    index = {nt: k for k, nt in enumerate(order)}
     terminals = g.terminal_set
     rules: dict = {nt: [] for nt in order}
     for p in g.productions:
@@ -192,27 +208,12 @@ def to_gnf(g: Cfg) -> Cfg:
     fresh = _fresh_namer(set(g.nonterminals) | set(g.terminals))
     helpers: list = []  # fresh left-recursion symbols, in creation order
 
-    # Paull: ascending, substitute smaller-indexed heads, unroll direct
-    # left recursion into a fresh tail nonterminal.
-    for i, a in enumerate(order):
-        guard = 0
-        while True:
-            guard += 1
-            if guard > _SUBST_LIMIT:
-                raise AssertionError("left-recursion elimination did not converge")
-            expanded = []
-            changed = False
-            for rhs in rules[a]:
-                head = rhs[0]
-                if head in index and index[head] < i:
-                    changed = True
-                    for sub in rules[head]:
-                        expanded.append(sub + rhs[1:])
-                else:
-                    expanded.append(rhs)
-            rules[a] = expanded
-            if not changed:
-                break
+    # Paull: ascending, substitute smaller-indexed heads (those done), unroll
+    # direct left recursion into a fresh tail nonterminal.
+    done: set = set()
+    for a in order:
+        _substitute(rules, a, done)
+        done.add(a)
 
         recursive = [rhs[1:] for rhs in rules[a] if rhs[0] == a]
         if recursive:
@@ -231,36 +232,12 @@ def to_gnf(g: Cfg) -> Cfg:
     # back-substitute, descending: afterwards every original nonterminal's
     # rules start with a terminal
     for a in reversed(order):
-        guard = 0
-        while any(rhs[0] in index for rhs in rules[a]):
-            guard += 1
-            if guard > _SUBST_LIMIT:
-                raise AssertionError("back-substitution did not converge")
-            expanded = []
-            for rhs in rules[a]:
-                if rhs[0] in index:
-                    for sub in rules[rhs[0]]:
-                        expanded.append(sub + rhs[1:])
-                else:
-                    expanded.append(rhs)
-            rules[a] = expanded
+        _substitute(rules, a, done)  # every original nonterminal by now
 
     # helper rules may still start with a nonterminal (original or an
-    # earlier helper); both kinds are terminal-headed by now
+    # earlier helper, each a key of rules); both kinds are terminal-headed
     for h in helpers:
-        guard = 0
-        while any(rhs[0] not in terminals for rhs in rules[h]):
-            guard += 1
-            if guard > _SUBST_LIMIT:
-                raise AssertionError("helper substitution did not converge")
-            expanded = []
-            for rhs in rules[h]:
-                if rhs[0] not in terminals:
-                    for sub in rules[rhs[0]]:
-                        expanded.append(sub + rhs[1:])
-                else:
-                    expanded.append(rhs)
-            rules[h] = expanded
+        _substitute(rules, h, rules)
 
     # pull terminals out of rule tails
     wrappers: dict = {}

@@ -276,6 +276,26 @@ class TestDecideCommand:
         code, _, _ = run(capsys, "decide", str(lex), "x y z", "--fragment", "full")
         assert code == 0
 
+    def test_proof_runs_under_the_budget(self, tmp_path, capsys):
+        # inferred full calculus: the proof needs /R, and the search pays
+        lex = tmp_path / "full.lex"
+        lex.write_text("target: S\nx : S/(B/D)\ny : B/C\nz : C/D\nw : B\\S\n")
+        code, out, err = run(capsys, "decide", str(lex), "x y z", "--proof", "--budget", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "budget" in err
+        code, out, _ = run(capsys, "decide", str(lex), "x y z", "--proof")
+        assert code == 0 and "[/R]" in out
+
+    def test_proof_of_a_long_word(self, capsys):
+        lexicon = str(ROOT / "samples" / "anbn.lex")
+        word = "a" * 100 + "b" * 100
+        code, out, _ = run(capsys, "decide", lexicon, word, "--proof")
+        assert code == 0 and out.startswith("member\n")
+        # one /L per slash: 99 of (S/B)/S and one S/B
+        assert out.count("[/L]") == 199
+        code, out, _ = run(capsys, "decide", lexicon, word, "--proof", "--budget", "1000")
+        assert code == 3 and out == ""
+
     def test_fragment_flag_rejected_for_grammar(self, files, capsys):
         _, grammar, _ = files
         code, _, err = run(capsys, "decide", grammar, "ab", "--fragment", "full")
@@ -361,6 +381,12 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.splitlines() == ["ab", "aabb", "aaabbb"]
 
+    def test_fragment_flag_rejected_for_grammar(self, capsys):
+        dyck = str(ROOT / "samples" / "dyck.cfg")
+        code, out, err = run(capsys, "enumerate", dyck, "--max-len", "3", "--fragment", "full")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json(self, files, capsys):
         _, _, lexicon = files
         code, out, _ = run(capsys, "enumerate", lexicon, "--max-len", "4", "--json")
@@ -400,6 +426,27 @@ class TestCrosscheckCommand:
         payload = json.loads(out)
         assert code == 1
         assert payload["first_disagreement"]["word"] == ["a"]
+
+    def test_fragment_flag_rejected_without_a_lexicon(self, files, capsys):
+        _, grammar, _ = files
+        dyck = str(ROOT / "samples" / "dyck.cfg")
+        code, out, err = run(
+            capsys, "crosscheck", grammar, dyck, "--max-len", "3", "--fragment", "full"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_fragment_flag_applies_to_the_lexicon_side(self, tmp_path, capsys):
+        grammar = tmp_path / "xyz.cfg"
+        grammar.write_text("terminals: x y z\nS -> x y z\n")
+        lex = tmp_path / "comp.lex"
+        lex.write_text("target: S\nx : S/(B/D)\ny : B/C\nz : C/D\n")
+        code, out, _ = run(capsys, "crosscheck", str(grammar), str(lex), "--max-len", "3")
+        assert code == 1 and "first at 'xyz'" in out
+        code, out, _ = run(
+            capsys, "crosscheck", str(grammar), str(lex), "--max-len", "3", "--fragment", "full"
+        )
+        assert code == 0 and "0 disagreements" in out
 
     def test_exhaustive_json(self, tmp_path, capsys):
         one = tmp_path / "aplus.cfg"

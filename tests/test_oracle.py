@@ -16,7 +16,9 @@ from lambekit import (
     Primitive,
     Production,
     REGULAR_FRAGMENT,
+    ReductionTable,
     SLASH_FRAGMENT,
+    Sequent,
     Slash,
     StepLimitExceeded,
     cfg_member,
@@ -27,6 +29,7 @@ from lambekit import (
     lambek_member,
     lcfg_to_lambek,
     parse_grammar_file,
+    parse_lexicon_file,
     reg_to_lambek,
     to_gnf,
     validate,
@@ -234,6 +237,29 @@ class TestLambekMember:
         )
         assert decider.find_proof("ba") is None
 
+    def test_prove_route_budget_reaches_the_search(self):
+        # one assignment, so only the search's own nodes can overrun
+        lg = LambekGrammar(
+            ("S", "B", "C", "D"),
+            ("x", "y", "z"),
+            "S",
+            {"x": (Slash(S, B / D),), "y": (B / C,), "z": (C / D,)},
+        )
+        word = ("x", "y", "z")
+        decider = LambekDecider(lg, FULL_CALCULUS, method="prove")
+        with pytest.raises(StepLimitExceeded):
+            decider(word, max_steps=5)
+        # the overrun stopped the search before its root finished, so the
+        # root is not memoized and must be expanded again
+        with pytest.raises(StepLimitExceeded):
+            decider(word, max_steps=1)
+        with pytest.raises(StepLimitExceeded):
+            LambekDecider(lg, FULL_CALCULUS).find_proof(word, max_steps=5)
+        assert LambekDecider(lg, FULL_CALCULUS, method="prove")(word, max_steps=100)
+        proof = LambekDecider(lg, FULL_CALCULUS).find_proof(word, max_steps=100)
+        assert proof.conclusion == Sequent((Slash(S, B / D), B / C, C / D), S)
+        assert validate(proof, FULL_CALCULUS) == []
+
     def test_empty_lexicon_entry_never_matches(self):
         lg = LambekGrammar(("S",), ("a", "b"), "S", {"a": (S,), "b": ()})
         assert lambek_member(lg, "a")
@@ -306,3 +332,66 @@ class TestCrosscheck:
         )
         assert report.elapsed_seconds >= 0
         assert report.max_length == 3
+
+
+def _corpus_lexicons():
+    lexicons = [
+        pytest.param(cfg_to_lambek(to_gnf(build())), id=f"gnf-{name}")
+        for name, (build, _) in corpus.LANGUAGES.items()
+    ]
+    lexicons.append(pytest.param(lcfg_to_lambek(corpus.anban_linear()), id="lcfg-anban"))
+    lexicons.append(pytest.param(reg_to_lambek(corpus.abplus()), id="reg-abplus"))
+    return lexicons
+
+
+class TestFindProof:
+    """find_proof decides membership and reads its witness off the same
+    chart; each proof is checked here, never in the decider."""
+
+    @pytest.mark.parametrize("lexicon", _corpus_lexicons())
+    def test_proof_exactly_for_members(self, lexicon):
+        decider, finder = LambekDecider(lexicon), LambekDecider(lexicon)
+        target = lexicon.target
+        for w in enumerate_strings(lexicon.alphabet, 8):
+            proof = finder.find_proof(w)
+            if not decider(w):
+                assert proof is None, w
+                continue
+            assert proof is not None, w
+            ant = proof.conclusion.antecedent
+            assert proof.conclusion.consequent == target
+            assert len(ant) == len(w)
+            assert all(t in lexicon.lexicon[sym] for t, sym in zip(ant, w)), w
+            assert validate(proof, decider.config) == [], w
+            # the walk asks only what a chart with no shared results asks
+            # to decide the word (shared results can skip a span's splits)
+            chart = ReductionTable(w, None, lexicon.lexicon)
+            assert chart.reduce(0, len(w), target)
+            assert LambekDecider(lexicon).find_proof(w, max_steps=chart.ops) is not None
+
+    def test_long_word_costs_what_membership_costs(self):
+        lexicon = parse_lexicon_file((SAMPLES / "anbn.lex").read_text())
+        word = ("a",) * 100 + ("b",) * 100
+        chart = ReductionTable(word, {}, lexicon.lexicon)
+        assert chart.reduce(0, len(word), lexicon.target)
+        proof = LambekDecider(lexicon).find_proof(word, max_steps=chart.ops)
+        assert proof is not None
+        assert validate(proof, SLASH_FRAGMENT) == []
+        with pytest.raises(StepLimitExceeded):
+            LambekDecider(lexicon).find_proof(word, max_steps=chart.ops - 1)
+
+    def test_proof_as_tall_as_the_word(self):
+        # 801 symbols: a walk with a frame per position would overflow
+        decider = LambekDecider(lcfg_to_lambek(corpus.anban_linear()))
+        word = ("a",) * 400 + ("b",) + ("a",) * 400
+        proof = decider.find_proof(word)
+        assert proof is not None
+        assert validate(proof, decider.config) == []
+        assert decider.find_proof(word[:-1] + ("b",)) is None
+
+    def test_regular_lexicon_proof_uses_slash_left_only(self):
+        decider = LambekDecider(reg_to_lambek(corpus.abplus()))
+        assert decider.config == REGULAR_FRAGMENT
+        proof = decider.find_proof("abab")
+        rules = {node.rule.value for _, node in proof.nodes()}
+        assert rules == {"/L", "axiom"}
