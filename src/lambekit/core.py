@@ -736,7 +736,7 @@ class LambekGrammar:
                     out.append(t)
         return tuple(out)
 
-    @property
+    @cached_property
     def target(self) -> Primitive:
         return Primitive(self.distinguished)
 

@@ -1,12 +1,12 @@
 """Grammar normalization and translations between grammar classes and
 type lexicons.
 
-Greibach normal form is reached the classical way: drop unit productions,
-eliminate left recursion in declaration order (Paull), back-substitute
-until every right-hand side starts with a terminal, then pull embedded
-terminals out of rule tails.  The translations implement the
-correspondences between GNF grammars and /-only lexicons, and between
-linear grammars and degree-one lexicons.
+Greibach normal form is reached in one polynomial pass: drop unit
+productions, apply the left-corner construction, substitute once at the
+head of the rules it makes, then pull embedded terminals out of rule
+tails.  The translations implement the correspondences between GNF
+grammars and /-only lexicons, and between linear grammars and degree-one
+lexicons.
 """
 
 from __future__ import annotations
@@ -161,9 +161,6 @@ def prune_useless(g: Cfg) -> Cfg:
 # --------------------------------------------------------------------------
 # Greibach normal form
 
-_SUBST_LIMIT = 100_000  # safety valve; the loops below provably terminate
-
-
 def _fresh_namer(taken: set):
     def make(base: str) -> str:
         name = base
@@ -175,92 +172,73 @@ def _fresh_namer(taken: set):
     return make
 
 
-def _substitute(rules: dict, a: str, heads) -> None:
-    """Replace each rule of a whose head is in heads by that head's rules
-    followed by its tail, until no rule of a starts with one of heads."""
-    for _ in range(_SUBST_LIMIT):
-        expanded, changed = [], False
-        for rhs in rules[a]:
-            if rhs[0] in heads:
-                changed = True
-                expanded.extend(sub + rhs[1:] for sub in rules[rhs[0]])
-            else:
-                expanded.append(rhs)
-        if not changed:
-            return
-        rules[a] = expanded
-    raise AssertionError(f"substitution for {a} did not converge")
-
-
 def to_gnf(g: Cfg) -> Cfg:
     """Convert to Greibach normal form (every rule: terminal, then
-    nonterminals).  Grammars already in GNF come back unchanged."""
+    nonterminals).  Grammars already in GNF come back unchanged.
+
+    The left-corner construction (Rosenkrantz & Lewis 1970), after unit
+    removal.  A fresh A_X derives what is left of an A once its left corner
+    X has been found.  A gets A -> a beta A_B for every rule B -> a beta
+    (a a terminal), plus A -> a beta when B = A; every pair A_X so created
+    gets A_X -> alpha A_C for every rule C -> X alpha, plus A_X -> alpha
+    when C = A.  The rules of the original nonterminals now start with a
+    terminal, so one substitution of them at the head of each A_X rule
+    makes every rule terminal-headed; terminals in rule tails then move
+    behind fresh T_a, and useless symbols are pruned.
+
+    With n nonterminals, Pt terminal-headed and Pc nonterminal-headed rules
+    after unit removal, the result has at most n^2 pair symbols and
+    2*n*Pt + 4*n*Pc*Pt + |T| productions.
+    """
     if classify_cfg(g).is_gnf:
         return g
     g = remove_unit_productions(g)
-
-    order = list(g.nonterminals)
     terminals = g.terminal_set
-    rules: dict = {nt: [] for nt in order}
-    for p in g.productions:
-        rules[p.lhs].append(p.rhs)
-
     fresh = _fresh_namer(set(g.nonterminals) | set(g.terminals))
-    helpers: list = []  # fresh left-recursion symbols, in creation order
+    pairs: dict = {}  # (A, X) -> name of A_X
+    todo: list = []  # pairs in creation order
 
-    # Paull: ascending, substitute smaller-indexed heads (those done), unroll
-    # direct left recursion into a fresh tail nonterminal.
-    done: set = set()
-    for a in order:
-        _substitute(rules, a, done)
-        done.add(a)
+    def pair(a: str, x: str) -> str:
+        if (a, x) not in pairs:
+            pairs[a, x] = fresh(f"{a}_{x}")
+            todo.append((a, x))
+        return pairs[a, x]
 
-        recursive = [rhs[1:] for rhs in rules[a] if rhs[0] == a]
-        if recursive:
-            base = [rhs for rhs in rules[a] if rhs[0] != a]
-            if not base:
-                # only left-recursive rules: the nonterminal is unproductive
-                rules[a] = []
-                continue
-            helper = fresh(f"X_{len(helpers) + 1}")
-            helpers.append(helper)
-            rules[a] = base + [rhs + (helper,) for rhs in base]
-            rules[helper] = [rhs for rhs in recursive] + [
-                rhs + (helper,) for rhs in recursive
-            ]
+    rules: dict = {a: [] for a in g.nonterminals}
+    for a in g.nonterminals:
+        for p in g.productions:
+            if p.rhs[0] in terminals:
+                rules[a].append(p.rhs + (pair(a, p.lhs),))
+                if p.lhs == a:
+                    rules[a].append(p.rhs)
+    for a, x in todo:  # todo grows while it is walked
+        rules[pairs[a, x]] = tail = []
+        for p in g.productions:
+            if p.rhs[0] == x:
+                tail.append(p.rhs[1:] + (pair(a, p.lhs),))
+                if p.lhs == a:
+                    tail.append(p.rhs[1:])
 
-    # back-substitute, descending: afterwards every original nonterminal's
-    # rules start with a terminal
-    for a in reversed(order):
-        _substitute(rules, a, done)  # every original nonterminal by now
-
-    # helper rules may still start with a nonterminal (original or an
-    # earlier helper, each a key of rules); both kinds are terminal-headed
-    for h in helpers:
-        _substitute(rules, h, rules)
-
-    # pull terminals out of rule tails
     wrappers: dict = {}
-    wrapper_order: list = []
 
     def wrap(sym: str) -> str:
         if sym not in wrappers:
             wrappers[sym] = fresh(f"T_{sym}")
-            wrapper_order.append(sym)
         return wrappers[sym]
 
+    # only pair rules can start with a nonterminal, and that nonterminal is
+    # an original one, whose rules all start with a terminal
     final: list = []
-    for a in order + helpers:
-        for rhs in rules.get(a, ()):
-            assert rhs[0] in terminals, f"rule {a} -> {' '.join(rhs)} not terminal-headed"
-            tail = tuple(wrap(s) if s in terminals else s for s in rhs[1:])
-            final.append(Production(a, (rhs[0],) + tail))
-    for sym in wrapper_order:
-        final.append(Production(wrappers[sym], (sym,)))
+    for a, bodies in rules.items():
+        for rhs in bodies:
+            for head in (rhs[:1],) if rhs[0] in terminals else rules[rhs[0]]:
+                body = head + rhs[1:]
+                tail = tuple(wrap(s) if s in terminals else s for s in body[1:])
+                final.append(Production(a, body[:1] + tail))
+    final += [Production(w, (sym,)) for sym, w in wrappers.items()]
 
-    nts = tuple(order) + tuple(helpers) + tuple(wrappers[s] for s in wrapper_order)
-    result = Cfg(nts, g.terminals, g.start, tuple(final))
-    return prune_useless(result)
+    nts = tuple(rules) + tuple(wrappers.values())
+    return prune_useless(Cfg(nts, g.terminals, g.start, tuple(final)))
 
 
 def to_gnf_report(g: Cfg):

@@ -14,6 +14,7 @@ from lambekit import (
     Primitive,
     Slash,
     cfg_to_lambek,
+    classify_cfg,
     format_grammar,
     format_lexicon,
     lcfg_to_lambek,
@@ -203,6 +204,19 @@ class TestGnfCommand:
         code, _, err = run(capsys, "gnf", lexicon)
         assert code == 3 and "error:" in err
 
+    def test_json(self, capsys):
+        path = ROOT / "samples" / "anban.lcfg"
+        source = parse_grammar_file(path.read_text())
+        assert not classify_cfg(source).is_gnf
+        code, out, _ = run(capsys, "gnf", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        result = parse_grammar_file(payload["grammar"])
+        assert classify_cfg(result).is_gnf
+        assert payload["productions"] == len(result.productions)
+        added = result.nonterminal_set - source.nonterminal_set
+        assert added and payload["fresh_symbols"] == sorted(added)
+
 
 class TestConvertCommand:
     def test_grammar_to_lexicon(self, files, capsys):
@@ -226,6 +240,19 @@ class TestConvertCommand:
         assert code == 0
         lg = parse_lexicon_file(out)
         assert all(t.degree <= 1 for t in lg.all_types())
+
+    def test_via_lcfg(self, capsys):
+        path = ROOT / "samples" / "anban.lcfg"
+        code, out, _ = run(capsys, "convert", str(path), "--to", "lambek", "--via", "lcfg")
+        assert code == 0
+        lg = parse_lexicon_file(out)
+        assert set(map(str, lg.lexicon["a"])) == {"S/A", "S\\A"}
+        assert set(map(str, lg.lexicon["b"])) == {"S"}
+
+    def test_via_rejected_for_lexicon(self, files, capsys):
+        _, _, lexicon = files
+        code, _, err = run(capsys, "convert", lexicon, "--to", "cfg", "--via", "gnf")
+        assert code == 3 and "--via" in err
 
     def test_wrong_direction_errors(self, files, capsys):
         _, grammar, lexicon = files

@@ -288,6 +288,13 @@ class TestLambekGrammar:
         lg = LambekGrammar(("S",), ("a",), "S", {"a": (S,)})
         assert lg.target == S
 
+    def test_target_is_cached_and_equality_unchanged(self):
+        lg = LambekGrammar(("S", "B"), ("a",), "S", {"a": (S,)})
+        fresh = LambekGrammar(("S", "B"), ("a",), "S", {"a": (S,)})
+        assert lg.target is lg.target
+        assert lg == fresh and fresh == lg
+        assert lg != LambekGrammar(("S", "B"), ("a",), "B", {"a": (S,)})
+
     def test_all_types_deduplicates(self):
         lg = LambekGrammar(
             ("S",), ("a", "b"), "S", {"a": (S, S / S), "b": (S / S,)}

@@ -400,6 +400,86 @@ class TestValidate:
         paths = {str(v).split(":")[0] for v in issues}
         assert "root" in paths
 
+    # one bad root per schema check, over valid axiom premises, so the root's
+    # reasons are the only violations
+    @pytest.mark.parametrize(
+        "conclusion, rule, premises, position, reasons",
+        [
+            pytest.param(
+                "S -> S", Rule.CUT, "S S", None,
+                ["cut node lacks a valid position"], id="cut-position",
+            ),
+            pytest.param(
+                "B -> S", Rule.CUT, "S S", 0,
+                ["cut conclusion should be S -> S"], id="cut-conclusion",
+            ),
+            pytest.param(
+                "B, B\\S -> S", Rule.BACK_L, "B S", None,
+                ["\\L node lacks a valid position"], id="back-l-position",
+            ),
+            pytest.param(
+                "B\\S, B -> S", Rule.BACK_L, "B S", 0,
+                ["\\L conclusion should be B, B\\S -> S"], id="back-l-conclusion",
+            ),
+            pytest.param(
+                "S -> S", Rule.SLASH_R, "S", None,
+                ["(/R) conclusion consequent is not a /"], id="slash-r-shape",
+            ),
+            pytest.param(
+                "S -> S/B", Rule.SLASH_R, "S", None,
+                ["(/R) premise should be S, B -> S"], id="slash-r-premise",
+            ),
+            pytest.param(
+                "S -> S/B", Rule.BACK_R, "S", None,
+                ["(\\R) conclusion consequent is not a \\"], id="back-r-shape",
+            ),
+            pytest.param(
+                "S -> B\\S", Rule.BACK_R, "S", None,
+                ["(\\R) premise should be B, S -> S"], id="back-r-premise",
+            ),
+            pytest.param(
+                "S*B -> S", Rule.PROD_L, "B", None,
+                ["(*L) changes the consequent"], id="prod-l-consequent",
+            ),
+            pytest.param(
+                "S -> S", Rule.PROD_L, "S", None,
+                ["(*L) premise does not unfold any product in the conclusion"],
+                id="prod-l-unfold",
+            ),
+            pytest.param(
+                "S, B -> S", Rule.PROD_R, "S B", 1,
+                ["(*R) conclusion consequent is not a *"], id="prod-r-shape",
+            ),
+            pytest.param(
+                "S, B -> S*B", Rule.PROD_R, "S B", 2,
+                ["(*R) node lacks a valid split position"], id="prod-r-split",
+            ),
+            pytest.param(
+                "S, B -> S*B", Rule.PROD_R, "B S", 1,
+                ["(*R) premises do not split the conclusion"], id="prod-r-premises",
+            ),
+            pytest.param(
+                " -> S", Rule.AXIOM, "", None,
+                ["empty antecedent", "axiom conclusion is not of the form T -> T"],
+                id="empty-antecedent",
+            ),
+        ],
+    )
+    def test_flags_each_schema_violation(
+        self, conclusion, rule, premises, position, reasons
+    ):
+        axioms = tuple(
+            Proof(Sequent((t,), t), Rule.AXIOM, ())
+            for t in map(Primitive, premises.split())
+        )
+        proof = Proof(parse_sequent(conclusion), rule, axioms, position=position)
+        config = CalculusConfig(
+            FULL_CALCULUS.enabled_rules, allow_cut_in_validation=True
+        )
+        issues = validate(proof, config)
+        assert all(v.path == () for v in issues)
+        assert [v.reason for v in issues] == reasons
+
 
 class TestEliminateCut:
     def _cut_proof(self):

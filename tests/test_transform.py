@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,36 @@ def same_language(a, b, alphabet, max_len=8):
     )
     assert report.agreed, report
     return report
+
+
+def same_language_by_cyk(a, b, max_len):
+    report = crosscheck(
+        CfgDecider(a, method="cyk"), CfgDecider(b, method="cyk"), a.terminals, max_len
+    )
+    assert report.agreed, (a, report)
+
+
+def gnf_bound(g):
+    """to_gnf's documented size bound, 2*n*Pt + 4*n*Pc*Pt + |T|, over the
+    unit-free grammar."""
+    u = remove_unit_productions(g)
+    n = len(u.nonterminals)
+    pt = sum(p.rhs[0] in u.terminal_set for p in u.productions)
+    pc = len(u.productions) - pt
+    return 2 * n * pt + 4 * n * pc * pt + len(u.terminals)
+
+
+def random_cfg(rng):
+    """1-4 nonterminals over {a, b}, each with 1-3 bodies of 1-3 symbols:
+    unit rules, left recursion and embedded terminals all occur."""
+    nts = tuple(f"N{i}" for i in range(rng.randint(1, 4)))
+    symbols = nts + ("a", "b")
+    prods = [
+        Production(nt, tuple(rng.choices(symbols, k=rng.randint(1, 3))))
+        for nt in nts
+        for _ in range(rng.randint(1, 3))
+    ]
+    return Cfg(nts, ("a", "b"), "N0", tuple(prods))
 
 
 class TestRemoveUnitProductions:
@@ -215,6 +246,24 @@ class TestToGnf:
         assert len(set(out.nonterminals)) == len(out.nonterminals)
         same_language(g, out, ("a", "b"), 7)
 
+        # the names the construction would pick for a pair and a wrapper
+        taken = Cfg(
+            ("S", "S_S", "T_a"),
+            ("a", "b"),
+            "S",
+            (
+                Production("S", ("S", "b", "a")),
+                Production("S", ("a", "S_S", "T_a")),
+                Production("S_S", ("b",)),
+                Production("T_a", ("a",)),
+            ),
+        )
+        out = to_gnf(taken)
+        assert classify_cfg(out).is_gnf
+        assert len(set(out.nonterminals)) == len(out.nonterminals)
+        assert {"S_S", "T_a"} <= out.nonterminal_set
+        same_language(taken, out, ("a", "b"), 7)
+
     @pytest.mark.parametrize("name", sorted(corpus.LANGUAGES))
     def test_corpus_languages_preserved(self, name):
         build, predicate = corpus.LANGUAGES[name]
@@ -230,6 +279,38 @@ class TestToGnf:
         out, report = to_gnf_report(g)
         fresh = set(out.nonterminal_set) - set(g.nonterminal_set)
         assert fresh == set(report.fresh_symbols)
+
+    def test_mixed_left_recursion_stays_within_the_bound(self):
+        # indirect left recursion through unit rules, which substitution
+        # until fixpoint (Paull) blows up to 65,587 productions
+        g = Cfg(
+            ("N0", "N1", "N2", "N3"),
+            ("a", "b", "c"),
+            "N0",
+            tuple(
+                Production(lhs, tuple(body.split()))
+                for lhs, bodies in (
+                    ("N0", ("a N1", "N1", "N1 a a", "b")),
+                    ("N1", ("N0 b", "N2 b N3", "b")),
+                    ("N2", ("N3 N0 N3", "c N3 c", "b a c", "b")),
+                    ("N3", ("N1", "a N0", "a")),
+                )
+                for body in bodies
+            ),
+        )
+        out = to_gnf(g)
+        assert classify_cfg(out).is_gnf
+        assert len(out.productions) <= gnf_bound(g)
+        same_language_by_cyk(g, out, 7)
+
+    def test_random_grammars(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            g = random_cfg(rng)
+            out = to_gnf(g)
+            assert classify_cfg(out).is_gnf, g
+            assert len(out.productions) <= gnf_bound(g), g
+            same_language_by_cyk(g, out, 5)
 
 
 class TestCfgToLambek:
