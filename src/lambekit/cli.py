@@ -81,7 +81,7 @@ from .transform import (
     translation_report,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _FRAGMENTS = {
     "slash": SLASH_FRAGMENT,
@@ -401,7 +401,6 @@ def _cmd_convert(args) -> int:
         "input_summary": report.input_summary,
         "output_summary": report.output_summary,
         "fresh_symbols": list(report.fresh_symbols),
-        "warnings": list(report.warnings),
     }
     if args.json:
         _emit(args, payload, "")
@@ -420,17 +419,16 @@ def _cmd_decide(args) -> int:
         member = proof is not None
     else:
         member = decider(word, max_steps=args.budget)
-    proof_text = format_proof(proof) if args.proof and member else None
     payload = {
         "command": "decide",
         "word": list(word),
         "member": member,
     }
-    if args.proof:
-        payload["proof"] = proof_text
     text = ("member" if member else "not a member") + "\n"
-    if proof_text:
-        text += proof_text + "\n"
+    if args.proof and args.json:
+        payload["proof"] = proof_to_dict(proof) if member else None
+    elif args.proof and member:
+        text += format_proof(proof) + "\n"
     _emit(args, payload, text)
     return 0 if member else 1
 

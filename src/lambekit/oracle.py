@@ -2,9 +2,11 @@
 
 Two independent routes exist for everything at desk scale: grammars are
 decided by a right-to-left sweep over a GNF grammar's terminal-first rules
-or by CYK, each ``CfgDecider`` building its route's tables once; lexicons
-by the span chart and NFA of ``recognizer`` run over the word, or by raw
-proof search over every type assignment.  A lexicon's derivations come
+or by bit-vector CYK, each ``CfgDecider`` compiling its route's tables
+once (CYK's to int-numbered nonterminals, so a call does int operations
+only); lexicons by the span chart and NFA of ``recognizer`` run over the
+word, the NFA compiled to int bitmasks once per ``LambekDecider``, or by
+raw proof search over every type assignment.  A lexicon's derivations come
 from the same routes: read off the chart that decided membership, or found
 by the search.  ``crosscheck`` walks all strings up to a length bound and
 reports the first point where two deciders part ways.
@@ -39,6 +41,7 @@ from .prover import ProofEngine
 from .recognizer import (
     ReductionTable,
     _derive,
+    compile_nfa,
     nfa_member,
     reduce_linear,
     reduce_regular,
@@ -74,10 +77,11 @@ def enumerate_strings(alphabet: Iterable[str], max_len: int) -> Iterator[tuple]:
 # CFG membership
 
 
-def _gnf_member(rules: dict, start: str, w: tuple, budget: _Budget) -> bool:
+def _gnf_member(tables: tuple, w: tuple, budget: _Budget) -> bool:
     """Right-to-left sweep: ends[i][A] is a bitmask of the end positions e
     with A =>* w[i:e].  A GNF rule consumes its terminal first, so column i
     is built from later columns only, each (position, rule) tried once."""
+    rules, start = tables
     n = len(w)
     ends: list = [None] * n + [{}]
     for i in range(n - 1, -1, -1):
@@ -99,54 +103,73 @@ def _gnf_member(rules: dict, start: str, w: tuple, budget: _Budget) -> bool:
     return bool(ends[0].get(start, 0) >> n & 1)
 
 
-def _cnf_tables(g: Cfg):
-    """Chomsky-ish tables for CYK: unit-free terminal rules and binarized
-    long rules.  Fresh symbols are opaque tuples, immune to name clashes."""
+def _cnf_tables(g: Cfg) -> tuple:
+    """CYK's tables, every nonterminal interned to an int, the start as 0:
+    a tuple of heads per terminal (unit rules removed), and the distinct
+    binary rules (A, B, C) after binarizing longer bodies and wrapping the
+    terminals inside them.  Fresh symbols are opaque tuples, immune to name
+    clashes."""
     g = remove_unit_productions(g)
+    ids: dict = {g.start: 0}
+
+    def intern(sym) -> int:
+        return ids.setdefault(sym, len(ids))
+
     terminal_heads: dict = {}
-    pair_heads: dict = {}
-    wrapper: dict = {}
 
-    def wrap(sym: str):
-        if sym not in wrapper:
-            wrapper[sym] = ("wrap", sym)
-            terminal_heads.setdefault(sym, set()).add(wrapper[sym])
-        return wrapper[sym]
+    def wrap(sym: str) -> int:
+        key = ("wrap", sym)
+        if key not in ids:
+            terminal_heads.setdefault(sym, set()).add(intern(key))
+        return ids[key]
 
+    rules: dict = {}  # insertion-ordered set of (A, B, C)
     counter = itertools.count()
     for p in g.productions:
         if len(p.rhs) == 1:
             # unit-free and epsilon-free: a single symbol must be a terminal
-            terminal_heads.setdefault(p.rhs[0], set()).add(p.lhs)
+            terminal_heads.setdefault(p.rhs[0], set()).add(intern(p.lhs))
             continue
         symbols = [
-            sym if sym in g.nonterminal_set else wrap(sym) for sym in p.rhs
+            intern(sym) if sym in g.nonterminal_set else wrap(sym) for sym in p.rhs
         ]
         while len(symbols) > 2:
-            fresh = ("bin", next(counter))
-            pair_heads.setdefault((symbols[-2], symbols[-1]), set()).add(fresh)
-            symbols = symbols[:-2] + [fresh]
-        pair_heads.setdefault((symbols[0], symbols[1]), set()).add(p.lhs)
-    return terminal_heads, pair_heads
+            fresh = intern(("bin", next(counter)))
+            rules[fresh, symbols[-2], symbols[-1]] = None
+            symbols[-2:] = [fresh]
+        rules[intern(p.lhs), symbols[0], symbols[1]] = None
+    heads = {sym: tuple(hs) for sym, hs in terminal_heads.items()}
+    return heads, tuple(rules), len(ids)
 
 
-def _cyk_member(tables, start: str, w: tuple, budget: _Budget) -> bool:
-    terminal_heads, pair_heads = tables
+def _cyk_member(tables: tuple, w: tuple, budget: _Budget) -> bool:
+    """Bit-vector CYK (Graham, Harrison & Ruzzo 1980), spans by width.
+    ends[i][X] is a bitmask of the positions j with X =>* w[i:j], and
+    starts[j][X] one of the positions i; span (i, j) gets A when
+    ends[i][B] & starts[j][C] is nonzero for a rule A -> B C.  Only
+    narrower spans are set when a span is tried, and with no unit rules
+    one pass over the rules is exact.  One step per (span, rule)."""
+    heads, rules, size = tables
     n = len(w)
-    chart: dict = {}
+    ends = [[0] * size for _ in range(n + 1)]
+    starts = [[0] * size for _ in range(n + 1)]
     for i, sym in enumerate(w):
-        chart[(i, i + 1)] = set(terminal_heads.get(sym, ()))
+        for a in heads.get(sym, ()):
+            ends[i][a] |= 1 << (i + 1)
+            starts[i + 1][a] |= 1 << i
+    cost = len(rules)
     for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
+        for i in range(n - width + 1):
             j = i + width
-            cell: set = set()
-            for k in range(i + 1, j):
-                left, right = chart[(i, k)], chart[(k, j)]
-                budget.spend(len(left) * len(right) or 1)
-                for pair in itertools.product(left, right):
-                    cell.update(pair_heads.get(pair, ()))
-            chart[(i, j)] = cell
-    return start in chart[(0, n)]
+            budget.spend(cost)
+            left, right = ends[i], starts[j]
+            for a, b, c in rules:
+                if left[b] & right[c]:
+                    # bit j cannot meet starts[j], nor bit i ends[i]:
+                    # no other rule for this span sees them
+                    left[a] |= 1 << j
+                    right[a] |= 1 << i
+    return bool(ends[0][0] >> n & 1)
 
 
 def cfg_member(
@@ -165,8 +188,10 @@ class CfgDecider:
     """Membership decider for one grammar; usable as a crosscheck arm.
 
     The route ("gnf" or "cyk", in ``method``) is chosen and its tables are
-    built once, here: GNF rules by their terminal for the sweep, unit-free
-    binarized rules for CYK.  A call only checks the word and runs the route.
+    built once, here: GNF rules by their terminal for the sweep; for CYK,
+    unit-free binarized rules over nonterminals interned to ints (the start
+    as 0), which a call runs as bitmask ANDs, one budget step per (span,
+    binary rule).  A call only checks the word and runs the route.
     """
 
     def __init__(self, g: Cfg, method: str = "auto"):
@@ -179,7 +204,7 @@ class CfgDecider:
             rules: dict = {}
             for p in g.productions:
                 rules.setdefault(p.rhs[0], []).append((p.lhs, p.rhs[1:]))
-            self._tables, self._member = rules, _gnf_member
+            self._tables, self._member = (rules, g.start), _gnf_member
         elif method == "cyk":
             self._tables, self._member = _cnf_tables(g), _cyk_member
         else:
@@ -188,7 +213,7 @@ class CfgDecider:
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self.grammar.terminal_set)
-        return self._member(self._tables, self.grammar.start, word, _Budget(max_steps))
+        return self._member(self._tables, word, _Budget(max_steps))
 
 
 # --------------------------------------------------------------------------
@@ -222,13 +247,15 @@ class LambekDecider:
     """Membership decider for one lexicon under one configuration.
 
     method "auto" runs the fragment's ``ReductionTable`` or NFA over the
-    word with lexicon choices folded in (per-span results are shared across
-    type assignments, and across calls), and is "prove" outside the chart
-    fragments; "recognizer" and "prove" enumerate type assignments one by
-    one and hand each to the fragment recognizer or the prover.  All three
-    agree; the slower routes keep each other honest in tests.  A budget
-    step is a chart expansion or NFA position on the chart routes, and
-    elsewhere a type assignment tried or a search node expanded.
+    word with lexicon choices folded in, and is "prove" outside the chart
+    fragments: the chart's per-span results are shared across type
+    assignments and across calls; the NFA of a regular lexicon is compiled
+    here to int bitmasks (``compile_nfa``) and keeps nothing between calls.
+    "recognizer" and "prove" enumerate type assignments one by one and hand
+    each to the fragment recognizer or the prover.  All three agree; the
+    slower routes keep each other honest in tests.  A budget step is a
+    chart expansion or NFA position on the chart routes, and elsewhere a
+    type assignment tried or a search node expanded.
     ``find_proof`` decides and derives in one call.
     """
 
@@ -254,21 +281,23 @@ class LambekDecider:
         # the chart is exact when the configuration's rules are the
         # fragment's left rules, or /L with \L idle for want of a \ type
         rules = self.config.enabled_rules
-        self._fragment, self._recognize = None, None
+        self._fragment, self._recognize, self._nfa = None, None, None
         if rules <= {Rule.SLASH_L, Rule.BACK_L}:
             for fragment, recognize in _CHART_FRAGMENTS:
                 if fragment.enabled_rules <= rules and _lexicon_in(lg, fragment):
                     self._fragment, self._recognize = fragment, recognize
                     break
+        if self._fragment is REGULAR_FRAGMENT:
+            self._nfa = compile_nfa(lg.lexicon, lg.target)
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self.grammar.lexicon)
         budget = _Budget(max_steps)
         lex, target = self.grammar.lexicon, self.grammar.target
         if self.method == "auto" and self._fragment is not None:
+            if self._nfa is not None:
+                return nfa_member(word, self._nfa, budget)
             # lexicon choices resolved per span, spans shared across calls
-            if self._fragment is REGULAR_FRAGMENT:
-                return nfa_member(word, lex, target, budget)
             table = ReductionTable(word, self._span_memo, lex, budget)
             return table.reduce(0, len(word), target)
         if self.method != "recognizer":

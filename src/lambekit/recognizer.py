@@ -8,7 +8,9 @@ candidate peels as target-over-arguments and the rest splits into nonempty
 chunks reducing to the arguments (the /L-only slash fragment), or, with
 degree-one {/, \\} types, when its last candidate is A\\target and the front
 reduces to A (the linear fragment).  For degree-one /-only types
-``nfa_member`` decides in one left-to-right pass (the regular fragment).
+``nfa_member`` decides in one left-to-right pass (the regular fragment),
+over an automaton that ``compile_nfa`` builds once as int bitmasks: a
+state is the mask of primitives still wanted.
 A decided chart is also the derivation: ``_derive`` reads the /L and \\L
 steps that ``reduce`` found back off its memo.
 """
@@ -136,28 +138,54 @@ class ReductionTable:
         return value
 
 
-def nfa_member(
-    word: Sequence, lexicon, target: Primitive, budget: Optional[_Budget] = None
-) -> bool:
-    """Decide reducibility for degree-one /-only candidates in one pass.
+def compile_nfa(lexicon, target: Primitive) -> tuple:
+    """The regular fragment's automaton, as ints: each primitive name gets
+    a bit, a state is a mask of the primitives the rest of the word may have
+    to produce, and p/q where p is wanted leaves q wanted.  Returns the
+    start mask (the target's bit) and, per key of ``lexicon`` (a symbol, or
+    for a type sequence the type itself), its (result bit, argument bit)
+    moves and the mask of primitives it offers outright."""
+    bits: dict = {}
 
-    Position k offers ``lexicon[word[k]]``.  The state is the set of
-    primitive names (not types, whose hashing runs in Python) that the rest
-    of the word may have to produce; p/q where p is wanted leaves q wanted.
-    """
-    want = {target.name}
+    def bit(p: Primitive) -> int:
+        return bits.setdefault(p.name, 1 << len(bits))
+
+    start = bit(target)
+    moves: dict = {}
+    finals: dict = {}
+    for key, types in lexicon.items():
+        steps, offered = [], 0
+        for t in types:
+            if type(t) is Slash:
+                steps.append((bit(t.result), bit(t.arg)))
+            else:
+                offered |= bit(t)
+        moves[key], finals[key] = tuple(steps), offered
+    return start, moves, finals
+
+
+def nfa_member(word: Sequence, nfa: tuple, budget: Optional[_Budget] = None) -> bool:
+    """Decide reducibility for degree-one /-only candidates in one pass over
+    ``compile_nfa``'s automaton, one budget step per position read before
+    the last.  Each (symbol, state) step is computed once per call."""
+    want, moves, finals = nfa
+    seen: dict = {}
     for sym in word[:-1]:
         if budget is not None:
             budget.spend()
-        want = {
-            t.arg.name
-            for t in lexicon[sym]
-            if type(t) is Slash and t.result.name in want
-        }
-        if not want:
+        key = (sym, want)
+        nxt = seen.get(key)
+        if nxt is None:
+            nxt = 0
+            for result, arg in moves[sym]:
+                if want & result:
+                    nxt |= arg
+            seen[key] = nxt
+        if not nxt:
             # a mid-sequence primitive ends the spine with input left over
             return False
-    return any(type(t) is Primitive and t.name in want for t in lexicon[word[-1]])
+        want = nxt
+    return bool(want & finals[word[-1]])
 
 
 def _query(
@@ -274,4 +302,4 @@ def reduce_regular(seq: Sequence[LambekType], target: LambekType) -> bool:
     suffix must produce (a finite-state run over the primitives).
     """
     seq = _query(seq, target, REGULAR_FRAGMENT, "is not a degree-one /-only type")
-    return nfa_member(range(len(seq)), [(t,) for t in seq], target)
+    return nfa_member(seq, compile_nfa({t: (t,) for t in seq}, target))

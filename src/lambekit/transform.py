@@ -42,7 +42,6 @@ class TranslationReport:
     input_summary: str
     output_summary: str
     fresh_symbols: tuple
-    warnings: tuple
 
 
 def _summarize(g: Union[Cfg, LambekGrammar]) -> str:
@@ -67,7 +66,6 @@ def _identifiers(g: Union[Cfg, LambekGrammar]) -> set:
 def translation_report(
     source: Union[Cfg, LambekGrammar],
     result: Union[Cfg, LambekGrammar],
-    warnings: tuple = (),
 ) -> TranslationReport:
     """Summarize a translation; fresh symbols are those the result uses that
     the source did not declare."""
@@ -76,7 +74,6 @@ def translation_report(
         input_summary=_summarize(source),
         output_summary=_summarize(result),
         fresh_symbols=tuple(fresh),
-        warnings=tuple(warnings),
     )
 
 

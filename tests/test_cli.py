@@ -169,7 +169,7 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", lexicon, "--json")
         payload = json.loads(out)
         assert code == 0
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert payload["kind"] == "lexicon"
         assert payload["fragment"] == "slash"
         assert payload["max_degree"] == 2
@@ -268,6 +268,7 @@ class TestConvertCommand:
         assert code == 0
         assert payload["to"] == "lambek"
         assert "target: S" in payload["output"]
+        assert "warnings" not in payload
 
 
 class TestDecideCommand:
@@ -322,6 +323,23 @@ class TestDecideCommand:
         assert out.count("[/L]") == 199
         code, out, _ = run(capsys, "decide", lexicon, word, "--proof", "--budget", "1000")
         assert code == 3 and out == ""
+
+    def test_proof_json_is_the_proof_tree(self, files, capsys):
+        _, _, lexicon = files
+        code, out, _ = run(capsys, "decide", lexicon, "ab", "--proof", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["member"] is True
+        assert payload["proof"]["sequent"] == "S/B, B -> S"
+        assert payload["proof"]["rule"] == "/L"
+        assert [q["rule"] for q in payload["proof"]["premises"]] == ["axiom", "axiom"]
+        code, out, _ = run(capsys, "decide", lexicon, "ba", "--proof", "--json")
+        assert code == 1 and json.loads(out)["proof"] is None
+
+    def test_long_word_on_cyk(self, tmp_path, capsys):
+        grammar = tmp_path / "anbn_cyk.cfg"
+        grammar.write_text("terminals: a b\nS -> A B | A S B\nA -> a\nB -> b\n")
+        code, out, _ = run(capsys, "decide", str(grammar), "a" * 200 + "b" * 200)
+        assert code == 0 and out == "member\n"
 
     def test_fragment_flag_rejected_for_grammar(self, files, capsys):
         _, grammar, _ = files

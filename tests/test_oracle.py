@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from lambekit import (
 )
 
 import corpus
+from derivations import bounded_language
 
 S, B, C, D = (Primitive(x) for x in "SBCD")
 
@@ -136,6 +139,132 @@ class TestCfgMember:
         sweep, cyk = CfgDecider(g, "gnf"), CfgDecider(g, "cyk")
         for w in enumerate_strings(g.terminals, 12):
             assert sweep(w) == cyk(w), w
+
+
+def _random_cfg(rng: random.Random) -> Cfg:
+    """A small grammar over {a, b} with what CYK's tables must undo: bodies
+    of three or four symbols (binarized), unit rules N_i -> N_i+1 (chains,
+    sometimes a cycle), one body shared by several heads, a nonterminal D
+    that derives nothing and an unreachable U."""
+    nts = [f"N{i}" for i in range(rng.randint(2, 4))]
+    symbols = nts + ["a", "b"]
+    shared = [tuple(rng.choices(symbols, k=rng.randint(2, 4))) for _ in range(2)]
+    rules = []
+    for i, nt in enumerate(nts):
+        rules.append((nt, (rng.choice("ab"),)))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("unit", "long", "pair", "shared", "dead"))
+            if kind == "unit":
+                body = (nts[(i + 1) % len(nts)],)
+            elif kind == "long":
+                body = tuple(rng.choices(symbols, k=rng.randint(3, 4)))
+            elif kind == "pair":
+                body = tuple(rng.choices(symbols, k=2))
+            elif kind == "shared":
+                body = rng.choice(shared)
+            else:
+                body = (rng.choice(symbols), "D")
+            rules.append((nt, body))
+    rules += [("D", ("a", "D")), ("U", ("b", "a", "b"))]
+    productions = tuple(Production(lhs, rhs) for lhs, rhs in rules)
+    return Cfg(tuple(nts) + ("D", "U"), ("a", "b"), "N0", productions)
+
+
+class TestCykAgainstDerivations:
+    """CYK against leftmost derivations expanded by ``derivations``, which
+    shares no code with the deciders."""
+
+    GRAMMARS = 200
+    MAX_LEN = 6
+
+    def test_every_short_string_of_random_grammars(self):
+        members = tested = 0
+        long_bodies, chains, shared_bodies = set(), 0, 0
+        for seed in range(self.GRAMMARS):
+            g = _random_cfg(random.Random(seed))
+            language = bounded_language(
+                g.productions, g.start, g.nonterminals, self.MAX_LEN
+            )
+            decider = CfgDecider(g, "cyk")
+            for k in range(1, self.MAX_LEN + 1):
+                for w in itertools.product(g.terminals, repeat=k):
+                    verdict = decider(w)
+                    assert verdict == (w in language), (seed, w)
+                    members += verdict
+                    tested += 1
+            bodies = [p.rhs for p in g.productions]
+            long_bodies.update(len(rhs) for rhs in bodies if len(rhs) > 2)
+            units = {
+                p.lhs: p.rhs[0]
+                for p in g.productions
+                if len(p.rhs) == 1 and p.rhs[0] in g.nonterminal_set
+            }
+            chains += any(units.get(b) for b in units.values())
+            shared_bodies += len(set(bodies)) < len(bodies)
+        # the grammars exercise what they are built to, with both verdicts
+        assert long_bodies == {3, 4}
+        assert chains >= 20 and shared_bodies >= 20
+        assert 0.05 * tested < members < 0.95 * tested
+
+
+class TestCykScale:
+    """Bit-vector CYK on S -> A B | A S B: three binary rules once the long
+    body is binarized, one budget step per (span of width >= 2, rule)."""
+
+    GRAMMAR = Cfg(
+        ("S", "A", "B"),
+        ("a", "b"),
+        "S",
+        tuple(
+            Production(lhs, rhs)
+            for lhs, rhs in [("S", "AB"), ("S", "ASB"), ("A", "a"), ("B", "b")]
+        ),
+    )
+    N = 200
+    WORDS = [("a" * N + "b" * N, True), ("a" * N + "b" * (N - 1) + "a", False)]
+
+    @pytest.mark.parametrize("word,member", WORDS, ids=["member", "near-miss"])
+    def test_fresh_decider_is_fast(self, word, member):
+        started = time.perf_counter()
+        assert CfgDecider(self.GRAMMAR)(word) is member
+        assert time.perf_counter() - started < 0.1
+
+    @pytest.mark.parametrize("word,member", WORDS, ids=["member", "near-miss"])
+    def test_budget_is_spans_times_rules(self, word, member):
+        decider = CfgDecider(self.GRAMMAR)
+        assert decider.method == "cyk"
+        n = len(word)
+        steps = n * (n - 1) // 2 * 3
+        assert decider(word, max_steps=steps) is member
+        with pytest.raises(StepLimitExceeded):
+            decider(word, max_steps=steps - 1)
+
+
+class TestNfaScale:
+    """The regular-fragment automaton on (ab)^n at 10^5 symbols: one step
+    per position read before the last."""
+
+    LEXICON = reg_to_lambek(corpus.abplus())
+    WORD = ("a", "b") * 50_000
+
+    def test_member_and_near_miss(self):
+        decider = LambekDecider(self.LEXICON)
+        n = len(self.WORD)
+        assert decider(self.WORD, max_steps=n - 1)
+        with pytest.raises(StepLimitExceeded):
+            decider(self.WORD, max_steps=n - 2)
+        miss = self.WORD[:-1] + ("a",)
+        assert not decider(miss, max_steps=n - 1)
+        with pytest.raises(StepLimitExceeded):
+            decider(miss, max_steps=n - 2)
+
+    def test_early_death_charges_only_what_it_read(self):
+        # "b" after "b" wants nothing: dead at 0-based position 2
+        word = ("a", "b", "b") + self.WORD
+        decider = LambekDecider(self.LEXICON)
+        assert not decider(word, max_steps=3)
+        with pytest.raises(StepLimitExceeded):
+            decider(word, max_steps=2)
 
 
 ANBN_LEX = cfg_to_lambek(to_gnf(corpus.anbn()))
