@@ -251,10 +251,41 @@ def load_grammar_file(path: str) -> Union[Cfg, LambekGrammar]:
 # shared helpers
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, written with its own stack: a proof
+    tree as tall as the word needs no frame per level.  The stack holds
+    text still to print as ``str`` and values still to encode as
+    ``(depth, value)``."""
+    parts, todo = [], [(0, value)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        depth, item = item
+        if isinstance(item, dict) and item:
+            opening, closing = "{", "}"
+            pairs = [(json.dumps(k) + ": ", v) for k, v in item.items()]
+        elif isinstance(item, (list, tuple)) and item:
+            opening, closing = "[", "]"
+            pairs = [("", v) for v in item]
+        else:
+            parts.append(json.dumps(item))
+            continue
+        pad = "\n" + "  " * (depth + 1)
+        parts.append(opening)
+        todo.append("\n" + "  " * depth + closing)
+        for k in range(len(pairs) - 1, -1, -1):
+            key, v = pairs[k]
+            todo.append((depth + 1, v))
+            todo.append(("," if k else "") + pad + key)
+    return "".join(parts)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         payload["format_version"] = FORMAT_VERSION
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 

@@ -167,20 +167,15 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
 def nfa_member(word: Sequence, nfa: tuple, budget: Optional[_Budget] = None) -> bool:
     """Decide reducibility for degree-one /-only candidates in one pass over
     ``compile_nfa``'s automaton, one budget step per position read before
-    the last.  Each (symbol, state) step is computed once per call."""
+    the last."""
     want, moves, finals = nfa
-    seen: dict = {}
     for sym in word[:-1]:
         if budget is not None:
             budget.spend()
-        key = (sym, want)
-        nxt = seen.get(key)
-        if nxt is None:
-            nxt = 0
-            for result, arg in moves[sym]:
-                if want & result:
-                    nxt |= arg
-            seen[key] = nxt
+        nxt = 0
+        for result, arg in moves[sym]:
+            if want & result:
+                nxt |= arg
         if not nxt:
             # a mid-sequence primitive ends the spine with input left over
             return False

@@ -175,23 +175,40 @@ def format_sequent(s: Sequent) -> str:
 
 def format_proof(p: Proof) -> str:
     """Indented text rendering: one sequent per line, premises below their
-    conclusion, rule labels in brackets."""
-    lines = []
-
-    def walk(node: Proof, depth: int) -> None:
-        lines.append(f"{'  ' * depth}{node.conclusion}   [{node.rule.value}]")
-        for q in node.premises:
-            walk(q, depth + 1)
-
-    walk(p, 0)
+    conclusion, rule labels in brackets.  The walk keeps its own stack: a
+    proof as tall as the word needs no frame per level."""
+    lines, todo = [], [(p, "")]
+    while todo:
+        node, pad = todo.pop()
+        lines.append(f"{pad}{node.conclusion}   [{node.rule.value}]")
+        if node.premises:
+            pad += "  "
+            for q in node.premises[::-1]:
+                todo.append((q, pad))
     return "\n".join(lines)
 
 
 def proof_to_dict(p: Proof) -> dict:
-    """Machine-readable proof tree."""
-    return {
+    """Machine-readable proof tree, built with its own stack like
+    ``format_proof``."""
+    root = {
         "sequent": str(p.conclusion),
         "rule": p.rule.value,
         "position": p.position,
-        "premises": [proof_to_dict(q) for q in p.premises],
+        "premises": [],
     }
+    todo = [(p, root["premises"])]
+    while todo:
+        node, out = todo.pop()
+        for q in node.premises:
+            out.append(
+                {
+                    "sequent": str(q.conclusion),
+                    "rule": q.rule.value,
+                    "position": q.position,
+                    "premises": [],
+                }
+            )
+            if q.premises:
+                todo.append((q, out[-1]["premises"]))
+    return root

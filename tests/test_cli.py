@@ -335,6 +335,25 @@ class TestDecideCommand:
         code, out, _ = run(capsys, "decide", lexicon, "ba", "--proof", "--json")
         assert code == 1 and json.loads(out)["proof"] is None
 
+    def test_proof_json_of_a_tall_proof(self, tmp_path, capsys):
+        # a^400 b a^400 on the linear lexicon: a proof about 800 levels tall,
+        # deeper than a frame-per-level encoder or json.loads can go
+        lex = tmp_path / "anban.lex"
+        lex.write_text(format_lexicon(lcfg_to_lambek(corpus.anban_linear())))
+        word = "a" * 400 + "b" + "a" * 400
+        code, text, _ = run(capsys, "decide", str(lex), word, "--proof")
+        assert code == 0
+        code, out, _ = run(capsys, "decide", str(lex), word, "--proof", "--json")
+        assert code == 0
+        # the tree holds the text form's nodes, in the same pre-order
+        rules = [line.rsplit("[", 1)[1].rstrip("]") for line in text.splitlines()[1:]]
+        assert len(rules) == 1 + 2 * len(word) - 2
+        assert [
+            json.loads(line.split(": ", 1)[1].rstrip(","))
+            for line in out.splitlines()
+            if line.lstrip().startswith('"rule": ')
+        ] == rules
+
     def test_long_word_on_cyk(self, tmp_path, capsys):
         grammar = tmp_path / "anbn_cyk.cfg"
         grammar.write_text("terminals: a b\nS -> A B | A S B\nA -> a\nB -> b\n")

@@ -227,7 +227,9 @@ class TestCykScale:
     def test_fresh_decider_is_fast(self, word, member):
         started = time.perf_counter()
         assert CfgDecider(self.GRAMMAR)(word) is member
-        assert time.perf_counter() - started < 0.1
+        # set-per-cell CYK took 8.5 s on this word; the budget test below pins
+        # the cost exactly, this only catches a return to that
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("word,member", WORDS, ids=["member", "near-miss"])
     def test_budget_is_spans_times_rules(self, word, member):
