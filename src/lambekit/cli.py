@@ -47,11 +47,9 @@ from .core import (
     classify_cfg,
     format_type,
     FULL_CALCULUS,
-    LINEAR_FRAGMENT,
-    REGULAR_FRAGMENT,
-    SLASH_FRAGMENT,
 )
 from .oracle import (
+    _FRAGMENTS,
     CfgDecider,
     LambekDecider,
     StepLimitExceeded,
@@ -82,13 +80,6 @@ from .transform import (
 )
 
 FORMAT_VERSION = 2
-
-_FRAGMENTS = {
-    "slash": SLASH_FRAGMENT,
-    "linear": LINEAR_FRAGMENT,
-    "regular": REGULAR_FRAGMENT,
-    "full": FULL_CALCULUS,
-}
 
 _RULES_BY_NAME = {r.value: r for r in Rule if r not in (Rule.AXIOM, Rule.CUT)}
 
@@ -315,7 +306,7 @@ def _alphabet(g: Union[Cfg, LambekGrammar]) -> tuple:
 def _decider(g: Union[Cfg, LambekGrammar], args):
     if isinstance(g, Cfg):
         return CfgDecider(g)
-    config = _FRAGMENTS[args.fragment] if getattr(args, "fragment", None) else None
+    config = _FRAGMENTS[args.fragment][0] if getattr(args, "fragment", None) else None
     return LambekDecider(g, config)
 
 
@@ -350,7 +341,7 @@ def _cmd_classify(args) -> int:
         config = infer_config(g)
         fields = {
             "kind": "lexicon",
-            "fragment": next(k for k, v in _FRAGMENTS.items() if v == config),
+            "fragment": next(k for k, (v, _) in _FRAGMENTS.items() if v == config),
             "symbols": len(g.alphabet),
             "types": len(g.all_types()),
             "max_degree": max([t.degree for t in g.all_types()] or [0]),

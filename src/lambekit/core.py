@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class LambekitError(Exception):
@@ -401,10 +401,6 @@ INFERENCE_RULES = frozenset(
     {Rule.SLASH_L, Rule.SLASH_R, Rule.BACK_L, Rule.BACK_R, Rule.PROD_L, Rule.PROD_R}
 )
 
-# rules whose nodes carry a splice position
-POSITIONAL_RULES = frozenset({Rule.CUT, Rule.SLASH_L, Rule.BACK_L, Rule.PROD_R})
-
-
 class Proof:
     """A proof tree node: a conclusion, a rule label, and premise subtrees.
 
@@ -706,10 +702,12 @@ class LambekGrammar:
         for sym, types in dict(self.lexicon).items():
             if sym not in set(alpha):
                 raise GrammarError(f"lexicon entry for undeclared symbol {sym!r}")
-            ordered = sorted(set(types), key=type_sort_key)
-            for t in ordered:
+            types = tuple(types)
+            for t in types:
                 if not isinstance(t, LambekType):
                     raise GrammarError(f"lexicon entry for {sym!r} is not a type: {t!r}")
+            ordered = sorted(set(types), key=type_sort_key)
+            for t in ordered:
                 for u in subtypes(t):
                     if isinstance(u, Primitive) and u.name not in prim_set:
                         raise GrammarError(
@@ -739,6 +737,3 @@ class LambekGrammar:
     @cached_property
     def target(self) -> Primitive:
         return Primitive(self.distinguished)
-
-
-Grammar = Union[Cfg, LambekGrammar]

@@ -220,13 +220,15 @@ class CfgDecider:
 # lexicon membership
 
 
-# the left-rule fragments, each with the recognizer its type assignments go
-# to; a lexicon belongs to the first one it fits
-_CHART_FRAGMENTS = (
-    (REGULAR_FRAGMENT, reduce_regular),
-    (SLASH_FRAGMENT, reduce_slash),
-    (LINEAR_FRAGMENT, reduce_linear),
-)
+# every fragment by name, with the recognizer its type assignments go to
+# (None for the full calculus, which only search decides); a lexicon
+# belongs to the first one it fits
+_FRAGMENTS = {
+    "regular": (REGULAR_FRAGMENT, reduce_regular),
+    "slash": (SLASH_FRAGMENT, reduce_slash),
+    "linear": (LINEAR_FRAGMENT, reduce_linear),
+    "full": (FULL_CALCULUS, None),
+}
 
 
 def _lexicon_in(lg: LambekGrammar, fragment: CalculusConfig) -> bool:
@@ -237,10 +239,7 @@ def infer_config(lg: LambekGrammar) -> CalculusConfig:
     """The natural fragment for a lexicon's shape: /-only lexicons get the
     slash fragment (degree-one ones the regular fragment), degree-one
     {/, \\} lexicons the linear fragment, anything else the full calculus."""
-    for fragment, _ in _CHART_FRAGMENTS:
-        if _lexicon_in(lg, fragment):
-            return fragment
-    return FULL_CALCULUS
+    return next(f for f, _ in _FRAGMENTS.values() if _lexicon_in(lg, f))
 
 
 class LambekDecider:
@@ -283,7 +282,7 @@ class LambekDecider:
         rules = self.config.enabled_rules
         self._fragment, self._recognize, self._nfa = None, None, None
         if rules <= {Rule.SLASH_L, Rule.BACK_L}:
-            for fragment, recognize in _CHART_FRAGMENTS:
+            for fragment, recognize in _FRAGMENTS.values():
                 if fragment.enabled_rules <= rules and _lexicon_in(lg, fragment):
                     self._fragment, self._recognize = fragment, recognize
                     break

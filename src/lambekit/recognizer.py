@@ -11,8 +11,9 @@ reduces to A (the linear fragment).  For degree-one /-only types
 ``nfa_member`` decides in one left-to-right pass (the regular fragment),
 over an automaton that ``compile_nfa`` builds once as int bitmasks: a
 state is the mask of primitives still wanted.
-A decided chart is also the derivation: ``_derive`` reads the /L and \\L
-steps that ``reduce`` found back off its memo.
+A decided chart is also the derivation: each span's memo entry records how
+it reduced, not only whether, so ``_derive`` reads the /L and \\L steps
+straight off the memos.
 """
 
 from __future__ import annotations
@@ -46,9 +47,17 @@ class ReductionTable:
     is a word, the types ``lexicon[seq[k]]``; ``types`` holds ``seq`` as a
     tuple.  A table serves one query sequence; ``shared`` optionally points
     at a cross-query map keyed by (span-as-tuple, target) so separate
-    tables can reuse results, and ``_derive`` reads proofs off it.  ``ops``
-    counts chart expansions, which the tests use to bound the growth rate;
-    each is charged to ``budget`` when one is given.
+    tables can reuse results.  ``ops`` counts chart expansions, which the
+    tests use to bound the growth rate; each is charged to ``budget`` when
+    one is given.
+
+    The memos are the witness ``_derive`` reads proofs off.  ``memo`` maps
+    (i, j, target), and ``shared`` its span's contents, to the first way
+    found: (functor, args) when the candidate ``functor`` at i peels to
+    target over ``args`` (() for an axiom), (functor, None) when the last
+    candidate is the degree-one ``functor`` = A\\target, or False.
+    ``_splits`` maps (i, j, args) to the end of the first chunk of the
+    leftmost split, or False.
     """
 
     def __init__(
@@ -70,12 +79,12 @@ class ReductionTable:
         key = (i, j, target)
         hit = self.memo.get(key)
         if hit is not None:
-            return hit
+            return hit is not False
         if self._shared is not None:
-            shared_hit = self._shared.get((self.types[i:j], target))
-            if shared_hit is not None:
-                self.memo[key] = shared_hit
-                return shared_hit
+            hit = self._shared.get((self.types[i:j], target))
+            if hit is not None:
+                self.memo[key] = hit
+                return hit is not False
         self.ops += 1
         if self._budget is not None:
             self._budget.spend()
@@ -89,12 +98,13 @@ class ReductionTable:
                 if head != target or len(args) >= width:
                     continue
                 if not args:
-                    value = width == 1
+                    found = width == 1
                 elif len(args) == 1:
-                    value = self.reduce(i + 1, j, args[0])
+                    found = self.reduce(i + 1, j, args[0])
                 else:
-                    value = self._split(i + 1, j, args)
-                if value:
+                    found = self._split(i + 1, j, args)
+                if found:
+                    value = (t, args)
                     break
             if value:
                 break
@@ -107,24 +117,22 @@ class ReductionTable:
                     and t.result == target
                     and self.reduce(i, j - 1, t.arg)
                 ):
-                    value = True
+                    value = (t, None)
                     break
         self.memo[key] = value
         if self._shared is not None:
             self._shared[(self.types[i:j], target)] = value
-        return value
+        return value is not False
 
     def _split(self, i: int, j: int, args: tuple) -> bool:
         """Can positions i..j-1 split into len(args) nonempty chunks, the
         k-th reducing to args[k]?  Leftmost-first, memoized on the suffix."""
-        if not args:
-            return i == j
         if len(args) == 1:
             return j > i and self.reduce(i, j, args[0])
         key = (i, j, args)
         hit = self._splits.get(key)
         if hit is not None:
-            return hit
+            return hit is not False
         self.ops += 1
         if self._budget is not None:
             self._budget.spend()
@@ -132,10 +140,10 @@ class ReductionTable:
         first, rest = args[0], args[1:]
         for m in range(i + 1, j - len(rest) + 1):
             if self.reduce(i, m, first) and self._split(m, j, rest):
-                value = True
+                value = m
                 break
         self._splits[key] = value
-        return value
+        return value is not False
 
 
 def compile_nfa(lexicon, target: Primitive) -> tuple:
@@ -223,14 +231,29 @@ def reduce_slash_proof(
 
 def _derive(tbl: ReductionTable, target: LambekType) -> Proof:
     """The derivation of all positions => target that a chart holding
-    ``reduce(0, n, target)`` witnesses, read off its memo.  The walk keeps
+    ``reduce(0, n, target)`` witnesses, read off its memos.  The walk keeps
     its own stack: a proof as tall as the word needs no frame per level."""
     order, todo = [], [(0, len(tbl.types), target)]
     while todo:  # pre-order, leftmost argument span next
         i, j, goal = todo.pop()
-        steps = _steps(tbl, i, j, goal)
-        order.append((goal, [functor for functor, _ in steps]))
-        todo.extend(span for _, span in reversed(steps))
+        # a no-op unless an enclosing span's result came from ``shared``:
+        # then this span, and the splits below it, are not in this table yet
+        tbl.reduce(i, j, goal)
+        functor, args = tbl.memo[i, j, goal]
+        if args is None:  # \L: the front reduces to A in A\goal
+            functors, spans = [functor], [(i, j - 1, functor.arg)]
+        else:  # /L once per argument, outermost first
+            functors, spans, m = [], [], i + 1
+            for k in range(len(args)):
+                end = j
+                if k + 1 < len(args):
+                    tbl._split(m, j, args[k:])
+                    end = tbl._splits[m, j, args[k:]]
+                functors.append(functor)
+                spans.append((m, end, args[k]))
+                functor, m = functor.result, end
+        order.append((goal, functors))
+        todo.extend(reversed(spans))
     built: list = []
     for goal, functors in reversed(order):  # every span after its arguments
         minors = [built.pop() for _ in functors]
@@ -244,35 +267,6 @@ def _derive(tbl: ReductionTable, target: LambekType) -> Proof:
             proof = Proof(Sequent(ant, goal), rule, (minor, proof), position=0)
         built.append(proof)
     return built[0]
-
-
-def _steps(tbl: ReductionTable, i: int, j: int, goal: LambekType) -> list:
-    """How ``reduce`` derived positions i..j-1 => goal, trying what it tried
-    in its order: one (functor, span of its argument) per /L or \\L step,
-    outermost first, or none for an axiom.  Takes the first candidate,
-    spine and leftmost split that work."""
-    width = j - i
-    lex, first, last = tbl._lexicon, tbl.types[i], tbl.types[j - 1]
-    for t in (first,) if lex is None else lex[first]:
-        for head, args in spine_decompositions(t):
-            if head != goal or len(args) >= width or not tbl._split(i + 1, j, args):
-                continue
-            steps, functor, m = [], t, i + 1
-            for k, arg in enumerate(args):
-                rest = args[k + 1 :]
-                end = j if not rest else next(
-                    e for e in range(m + 1, j - len(rest) + 1)
-                    if tbl.reduce(m, e, arg) and tbl._split(e, j, rest)
-                )
-                steps.append((functor, (m, end, arg)))
-                functor, m = functor.result, end
-            return steps
-    if width > 1:
-        for t in (last,) if lex is None else lex[last]:
-            if type(t) is Backslash and t.degree == 1 and t.result == goal:
-                if tbl.reduce(i, j - 1, t.arg):
-                    return [(t, (i, j - 1, t.arg))]
-    raise AssertionError(f"lost the witness for span ({i}, {j}) -> {goal}")
 
 
 # --------------------------------------------------------------------------

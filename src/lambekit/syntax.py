@@ -25,10 +25,12 @@ from .core import (
 
 
 class ParseError(LambekitError):
-    """A syntax error, positioned by line and column (both 1-based)."""
+    """A syntax error, positioned by line and column (both 1-based) as far
+    as they are known; the message names only the known parts."""
 
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"line {line}, col {col}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+        where = [f"{name} {n}" for name, n in (("line", line), ("col", col)) if n is not None]
+        super().__init__(f"{', '.join(where)}: {message}" if where else message)
         self.bare_message = message
         self.line = line
         self.col = col

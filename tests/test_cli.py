@@ -85,6 +85,16 @@ class TestParseGrammarFile:
         with pytest.raises(ParseError) as e:
             parse_grammar_file("terminals: a\n\nS ->\n")
         assert e.value.line == 3
+        # the error is known by line only, so no column is printed
+        assert e.value.col is None
+        assert str(e.value) == "line 3: empty right-hand side"
+
+    def test_grammar_error_carries_no_position(self):
+        # the duplicate sits on line 2; the check that finds it knows no line
+        with pytest.raises(ParseError) as e:
+            parse_grammar_file("terminals: a\nnonterminals: S S\nS -> a\n")
+        assert e.value.line is None and e.value.col is None
+        assert "duplicate" in str(e.value) and "line" not in str(e.value)
 
     def test_round_trip(self):
         for build, _ in corpus.LANGUAGES.values():
@@ -409,6 +419,10 @@ class TestProveCommand:
     def test_bad_rule_name(self, capsys):
         code, _, err = run(capsys, "prove", "S -> S", "--rules", "/Q")
         assert code == 2 and "unknown rule" in err
+        # an --rules value has no line or column to report
+        code, _, err = run(capsys, "prove", "S -> S", "--rules", "cut")
+        assert code == 2
+        assert err.startswith("error: unknown rule 'cut'; choose from ")
 
     def test_bad_sequent(self, capsys):
         code, _, err = run(capsys, "prove", "S ->")

@@ -275,6 +275,11 @@ class TestLambekGrammar:
         with pytest.raises(GrammarError):
             LambekGrammar(("S",), ("a",), "S", {"a": (S / B,)})
 
+    @pytest.mark.parametrize("entry", [("S",), (S, 3), [["x"]]])
+    def test_non_type_entry_rejected(self, entry):
+        with pytest.raises(GrammarError, match="is not a type"):
+            LambekGrammar(("S",), ("a",), "S", {"a": entry})
+
     def test_unknown_target_rejected(self):
         with pytest.raises(GrammarError):
             LambekGrammar(("S",), ("a",), "T", {"a": (S,)})

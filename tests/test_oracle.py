@@ -494,6 +494,9 @@ class TestFindProof:
             assert len(ant) == len(w)
             assert all(t in lexicon.lexicon[sym] for t, sym in zip(ant, w)), w
             assert validate(proof, decider.config) == [], w
+            # many of the warm finder's spans come from its shared map, whose
+            # splits the walk fills in; a fresh decider derives them itself
+            assert proof == LambekDecider(lexicon).find_proof(w), w
             # the walk asks only what a chart with no shared results asks
             # to decide the word (shared results can skip a span's splits)
             chart = ReductionTable(w, None, lexicon.lexicon)
