@@ -4,12 +4,13 @@ Two independent routes exist for everything at desk scale: grammars are
 decided by a right-to-left sweep over a GNF grammar's terminal-first rules
 or by bit-vector CYK, each ``CfgDecider`` compiling its route's tables
 once (CYK's to int-numbered nonterminals, so a call does int operations
-only); lexicons by the span chart and NFA of ``recognizer`` run over the
-word, the NFA compiled to int bitmasks once per ``LambekDecider``, or by
-raw proof search over every type assignment.  A lexicon's derivations come
-from the same routes: read off the chart that decided membership, or found
-by the search.  ``crosscheck`` walks all strings up to a length bound and
-reports the first point where two deciders part ways.
+only); lexicons by the word charts and NFA of ``recognizer``, whose tables
+each ``LambekDecider`` compiles once and whose per-word state goes with the
+call, or by raw proof search over every type assignment.  A lexicon's
+derivations come from the same routes: read off the chart that decided
+membership, or found by the search.  ``crosscheck`` walks all strings up
+to a length bound and reports the first point where two deciders part
+ways.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ from .core import (
 )
 from .prover import ProofEngine
 from .recognizer import (
-    ReductionTable,
+    LinearChart,
+    SpineChart,
     _derive,
     compile_nfa,
+    compile_spines,
     nfa_member,
     reduce_linear,
     reduce_regular,
@@ -245,16 +248,17 @@ def infer_config(lg: LambekGrammar) -> CalculusConfig:
 class LambekDecider:
     """Membership decider for one lexicon under one configuration.
 
-    method "auto" runs the fragment's ``ReductionTable`` or NFA over the
-    word with lexicon choices folded in, and is "prove" outside the chart
-    fragments: the chart's per-span results are shared across type
-    assignments and across calls; the NFA of a regular lexicon is compiled
-    here to int bitmasks (``compile_nfa``) and keeps nothing between calls.
-    "recognizer" and "prove" enumerate type assignments one by one and hand
-    each to the fragment recognizer or the prover.  All three agree; the
-    slower routes keep each other honest in tests.  A budget step is a
-    chart expansion or NFA position on the chart routes, and elsewhere a
-    type assignment tried or a search node expanded.
+    method "auto" decides a word with lexicon choices folded in, and is
+    "prove" outside the chart fragments: a /-only lexicon is compiled here
+    once to the GNF rules that ``SpineChart`` sweeps, a regular one also to
+    an NFA over int bitmasks (``compile_nfa``) that decides it, and a
+    linear one is walked by ``LinearChart``.  A call keeps nothing once it
+    returns.  "recognizer" and "prove" enumerate type assignments one by
+    one and hand each to the fragment recognizer or the prover.  All three
+    agree; the slower routes keep each other honest in tests.  A budget
+    step is a (position, kept spine decomposition) of the sweep, a span the
+    linear walk expands or a position the NFA reads before the last, and
+    elsewhere a type assignment tried or a search node expanded.
     ``find_proof`` decides and derives in one call.
     """
 
@@ -270,7 +274,6 @@ class LambekDecider:
             raise ValueError(f"unknown method {method!r}")
         self.method = method
         self._engine = ProofEngine()
-        self._span_memo: dict = {}
         restriction = self.config.type_restriction
         for t in lg.all_types():
             if not in_fragment(t, restriction):
@@ -280,25 +283,31 @@ class LambekDecider:
         # the chart is exact when the configuration's rules are the
         # fragment's left rules, or /L with \L idle for want of a \ type
         rules = self.config.enabled_rules
-        self._fragment, self._recognize, self._nfa = None, None, None
+        self._fragment, self._recognize = None, None
         if rules <= {Rule.SLASH_L, Rule.BACK_L}:
             for fragment, recognize in _FRAGMENTS.values():
                 if fragment.enabled_rules <= rules and _lexicon_in(lg, fragment):
                     self._fragment, self._recognize = fragment, recognize
                     break
+        # the chart class a word runs on, with its tables; a regular
+        # lexicon is decided by its NFA and derived by the sweep
+        self._nfa = self._chart = None
         if self._fragment is REGULAR_FRAGMENT:
             self._nfa = compile_nfa(lg.lexicon, lg.target)
+        if self._fragment is LINEAR_FRAGMENT:
+            self._chart = (LinearChart, lg.lexicon)
+        elif self._fragment is not None:
+            self._chart = (SpineChart, compile_spines(lg.lexicon, lg.target))
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self.grammar.lexicon)
         budget = _Budget(max_steps)
-        lex, target = self.grammar.lexicon, self.grammar.target
+        target = self.grammar.target
         if self.method == "auto" and self._fragment is not None:
             if self._nfa is not None:
                 return nfa_member(word, self._nfa, budget)
-            # lexicon choices resolved per span, spans shared across calls
-            table = ReductionTable(word, self._span_memo, lex, budget)
-            return table.reduce(0, len(word), target)
+            chart, tables = self._chart
+            return chart(word, tables, budget).reduce(0, len(word), target)
         if self.method != "recognizer":
             return self._first(word, budget, self._proof) is not None
         if self._recognize is None:
@@ -308,15 +317,17 @@ class LambekDecider:
     def find_proof(self, w: Word, max_steps: Optional[int] = None) -> Optional[Proof]:
         """A derivation of a type assignment of the word to the target, or
         None for a non-member; ``max_steps`` as in ``__call__``.  In a chart
-        fragment (regular too: the slash chart decides it as well) it is read
-        off the chart that decided membership, elsewhere found by search."""
+        fragment it is read off the chart that decided membership (for a
+        regular lexicon, the sweep, which decides it too), elsewhere found
+        by search."""
         word = _checked_word(w, self.grammar.lexicon)
         budget = _Budget(max_steps)
         if self._fragment is None:
             return self._first(word, budget, self._proof)
         target = self.grammar.target
-        table = ReductionTable(word, self._span_memo, self.grammar.lexicon, budget)
-        return _derive(table, target) if table.reduce(0, len(word), target) else None
+        chart, tables = self._chart
+        found = chart(word, tables, budget)
+        return _derive(found, target) if found.reduce(0, len(word), target) else None
 
     def _first(self, word: tuple, budget: _Budget, holds: Callable):
         """What ``holds(assignment, budget)`` finds for the first type
@@ -344,8 +355,8 @@ def lambek_member(
     max_steps: Optional[int] = None,
 ) -> bool:
     """Decide whether some type assignment for the string reduces to the
-    distinguished type.  Build a LambekDecider directly to reuse span
-    results across many strings."""
+    distinguished type.  Build a LambekDecider directly to compile the
+    lexicon once for many strings."""
     return LambekDecider(lg, config, method)(w, max_steps)
 
 

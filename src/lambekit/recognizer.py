@@ -1,19 +1,24 @@
 """Reducibility charts: polynomial alternatives to proof search.
 
 The product-free left-rule fragments decide one relation: does a span of
-positions, each offering candidate types (one per position for a type
-sequence, the lexicon's for each symbol of a word), reduce to a target?
-``ReductionTable`` charts (span, target) pairs: a span reduces when a first
-candidate peels as target-over-arguments and the rest splits into nonempty
-chunks reducing to the arguments (the /L-only slash fragment), or, with
-degree-one {/, \\} types, when its last candidate is A\\target and the front
-reduces to A (the linear fragment).  For degree-one /-only types
-``nfa_member`` decides in one left-to-right pass (the regular fragment),
-over an automaton that ``compile_nfa`` builds once as int bitmasks: a
-state is the mask of primitives still wanted.
-A decided chart is also the derivation: each span's memo entry records how
-it reduced, not only whether, so ``_derive`` reads the /L and \\L steps
-straight off the memos.
+positions, each offering candidate types (one for a type sequence, the
+lexicon's for a word's symbol), reduce to a target?  In the /L-only slash
+fragment a span reduces when its first candidate peels as
+target-over-arguments and the rest splits into nonempty chunks reducing to
+the arguments; with degree-one {/, \\} types also when its last candidate
+is A\\target and the front reduces to A (the linear fragment).
+
+``ReductionTable`` charts a type sequence in the slash fragment, memoized
+top-down.  Over a word, each spine decomposition (head, args) of a type
+for symbol a is the GNF rule head -> a args, so ``SpineChart`` decides the
+slash fragment by a right-to-left sweep over end-position bitmasks, the
+lexicon compiled once by ``compile_spines``.  ``LinearChart`` decides the
+linear fragment, word or sequence, by a goal-directed walk with its own
+stack.  For degree-one /-only types ``nfa_member`` decides in one
+left-to-right pass over an automaton ``compile_nfa`` builds once as int
+bitmasks: a state is the mask of primitives still wanted.  Each chart
+records how a span reduced, not only whether, so ``_derive`` reads the /L
+and \\L steps straight off it.
 """
 
 from __future__ import annotations
@@ -40,39 +45,26 @@ from .core import (
 
 
 class ReductionTable:
-    """Memoized reducibility chart over candidate types per position.
+    """Memoized slash-fragment chart over a type sequence.
 
-    ``reduce(i, j, target)`` says whether positions i..j-1 reduce to target
-    by the left rules.  Position k offers ``seq[k]`` alone or, when ``seq``
-    is a word, the types ``lexicon[seq[k]]``; ``types`` holds ``seq`` as a
-    tuple.  A table serves one query sequence; ``shared`` optionally points
-    at a cross-query map keyed by (span-as-tuple, target) so separate
-    tables can reuse results.  ``ops`` counts chart expansions, which the
-    tests use to bound the growth rate; each is charged to ``budget`` when
-    one is given.
+    ``reduce(i, j, target)`` says whether types i..j-1 reduce to target by
+    /L; ``types`` holds the sequence as a tuple.  A table serves one query
+    sequence; ``shared`` optionally points at a cross-query map keyed by
+    (span-as-tuple, target) so separate tables can reuse results.  ``ops``
+    counts chart expansions, which the tests use to bound the growth rate.
 
     The memos are the witness ``_derive`` reads proofs off.  ``memo`` maps
     (i, j, target), and ``shared`` its span's contents, to the first way
-    found: (functor, args) when the candidate ``functor`` at i peels to
-    target over ``args`` (() for an axiom), (functor, None) when the last
-    candidate is the degree-one ``functor`` = A\\target, or False.
-    ``_splits`` maps (i, j, args) to the end of the first chunk of the
-    leftmost split, or False.
+    found, (functor, args) when the type ``functor`` at i peels to target
+    over ``args`` (() for an axiom), or False.  ``_splits`` maps (i, j,
+    args) to the end of the first chunk of the leftmost split, or False.
     """
 
-    def __init__(
-        self,
-        seq: Sequence,
-        shared: Optional[dict] = None,
-        lexicon=None,
-        budget: Optional[_Budget] = None,
-    ):
+    def __init__(self, seq: Sequence, shared: Optional[dict] = None):
         self.types = tuple(seq)
-        self._lexicon = lexicon
         self.memo: dict = {}
         self._splits: dict = {}
         self._shared = shared
-        self._budget = budget
         self.ops = 0
 
     def reduce(self, i: int, j: int, target: LambekType) -> bool:
@@ -86,39 +78,23 @@ class ReductionTable:
                 self.memo[key] = hit
                 return hit is not False
         self.ops += 1
-        if self._budget is not None:
-            self._budget.spend()
-        # plain loops and a direct call for one-argument spines keep the
-        # recursion at one frame per position on degree-one chains
+        # a direct call for one-argument spines keeps the recursion at one
+        # frame per position on degree-one chains
         value = False
         width = j - i
-        lex, first = self._lexicon, self.types[i]
-        for t in (first,) if lex is None else lex[first]:
-            for head, args in spine_decompositions(t):
-                if head != target or len(args) >= width:
-                    continue
-                if not args:
-                    found = width == 1
-                elif len(args) == 1:
-                    found = self.reduce(i + 1, j, args[0])
-                else:
-                    found = self._split(i + 1, j, args)
-                if found:
-                    value = (t, args)
-                    break
-            if value:
+        first = self.types[i]
+        for head, args in spine_decompositions(first):
+            if head != target or len(args) >= width:
+                continue
+            if not args:
+                found = width == 1
+            elif len(args) == 1:
+                found = self.reduce(i + 1, j, args[0])
+            else:
+                found = self._split(i + 1, j, args)
+            if found:
+                value = (first, args)
                 break
-        if not value and width > 1:
-            last = self.types[j - 1]
-            for t in (last,) if lex is None else lex[last]:
-                if (
-                    type(t) is Backslash
-                    and t.degree == 1
-                    and t.result == target
-                    and self.reduce(i, j - 1, t.arg)
-                ):
-                    value = (t, None)
-                    break
         self.memo[key] = value
         if self._shared is not None:
             self._shared[(self.types[i:j], target)] = value
@@ -134,8 +110,6 @@ class ReductionTable:
         if hit is not None:
             return hit is not False
         self.ops += 1
-        if self._budget is not None:
-            self._budget.spend()
         value = False
         first, rest = args[0], args[1:]
         for m in range(i + 1, j - len(rest) + 1):
@@ -144,6 +118,159 @@ class ReductionTable:
                 break
         self._splits[key] = value
         return value is not False
+
+
+# --------------------------------------------------------------------------
+# words over a lexicon
+
+
+def compile_spines(lexicon, target: LambekType) -> tuple:
+    """A /-only lexicon as GNF rules: each spine decomposition (head, args)
+    of a symbol's type is a rule head -> symbol args.  A rule is kept when
+    its head can be wanted: the target, or an argument of a kept rule, to a
+    fixpoint.  Returns the wanted heads interned to ints (the target as 0)
+    and, per symbol, its kept rules as (type, head, args, head id, argument
+    ids), in lexicon order, then spine order."""
+    rules = {
+        sym: [(t, head, args) for t in types for head, args in spine_decompositions(t)]
+        for sym, types in lexicon.items()
+    }
+    ids: dict = {target: 0}
+    size = 0
+    while size < len(ids):  # until a pass wants nothing new
+        size = len(ids)
+        for decompositions in rules.values():
+            for _, head, args in decompositions:
+                if head in ids:
+                    for a in args:
+                        ids.setdefault(a, len(ids))
+    kept = {
+        sym: tuple(
+            (t, head, args, ids[head], tuple(ids[a] for a in args))
+            for t, head, args in decompositions
+            if head in ids
+        )
+        for sym, decompositions in rules.items()
+    }
+    return ids, kept
+
+
+def _fold(ends: list, reach: int, args: Sequence[int]) -> int:
+    """The ends of consecutive nonempty chunks reducing to the heads
+    ``args``, the first chunk starting at a position in the mask ``reach``."""
+    for a in args:
+        step = 0
+        while reach:
+            low = reach & -reach
+            step |= ends[low.bit_length() - 1][a]
+            reach ^= low
+        reach = step
+    return reach
+
+
+class SpineChart:
+    """A word in the slash fragment, decided by a right-to-left sweep over
+    ``compile_spines``'s rules, with bitmask columns as in bit-vector CYK
+    (Graham, Harrison & Ruzzo 1980).
+
+    ``_ends[i][h]`` is a bitmask of the ends e with word[i:e] reducing to
+    head h.  A rule consumes its symbol first, so column i folds the
+    arguments of each kept rule for word[i] over later columns only.  The
+    budget is charged once per column, a step per kept rule.  ``reduce``
+    and ``_split`` read the witness off the masks in ``ReductionTable``'s
+    shape and order: the first kept rule whose fold reaches j, and the
+    least end of a first chunk from which the rest folds to j.
+    """
+
+    def __init__(self, word: tuple, spines: tuple, budget: _Budget):
+        self._ids, self._kept = spines
+        self.types = word
+        self.memo: dict = {}
+        self._splits: dict = {}
+        n, size = len(word), len(self._ids)
+        self._ends = ends = [None] * n + [[0] * size]
+        for i in range(n - 1, -1, -1):
+            rules = self._kept[word[i]]
+            budget.spend(len(rules))
+            col = [0] * size
+            for _, _, _, head, args in rules:
+                col[head] |= _fold(ends, 1 << (i + 1), args)
+            ends[i] = col
+
+    def reduce(self, i: int, j: int, target: LambekType) -> bool:
+        key = (i, j, target)
+        if key not in self.memo:
+            self.memo[key] = next(
+                (
+                    (t, args)
+                    for t, head, args, _, arg_ids in self._kept[self.types[i]]
+                    if head == target and _fold(self._ends, 1 << (i + 1), arg_ids) >> j & 1
+                ),
+                False,
+            )
+        return self.memo[key] is not False
+
+    def _split(self, i: int, j: int, args: tuple) -> bool:
+        key = (i, j, args)
+        if key not in self._splits:
+            rest = [self._ids[a] for a in args[1:]]
+            value, firsts = False, self._ends[i][self._ids[args[0]]]
+            while firsts and value is False:
+                low = firsts & -firsts
+                if _fold(self._ends, low, rest) >> j & 1:
+                    value = low.bit_length() - 1
+                firsts ^= low
+            self._splits[key] = value
+        return self._splits[key] is not False
+
+
+class LinearChart:
+    """A word or sequence in the linear fragment, decided by a
+    goal-directed walk over (i, j, target).
+
+    A span tries, in lexicon order: its first position as the target
+    (width one) or as target/A before a span reducing to A, then its last
+    position as A\\target after one.  The walk keeps its own stack and
+    expands only the spans a try needs, one budget step each.  ``memo``
+    holds each decided span's witness: (functor, args) as in
+    ``ReductionTable``, (functor, None) for A\\target at the end, or False.
+    """
+
+    def __init__(self, word: tuple, lexicon, budget: _Budget):
+        self.types, self._lexicon, self._budget = word, lexicon, budget
+        self.memo: dict = {}
+
+    def _tries(self, i: int, j: int, target: LambekType):
+        # (functor, args, the span the try needs or None)
+        for t in self._lexicon[self.types[i]]:
+            if t == target and j - i == 1:
+                yield t, (), None
+            elif type(t) is Slash and t.result == target and j - i > 1:
+                yield t, (t.arg,), (i + 1, j, t.arg)
+        if j - i > 1:
+            for t in self._lexicon[self.types[j - 1]]:
+                if type(t) is Backslash and t.result == target:
+                    yield t, None, (i, j - 1, t.arg)
+
+    def reduce(self, i: int, j: int, target: LambekType) -> bool:
+        memo, stack = self.memo, []
+        if (i, j, target) not in memo:
+            self._budget.spend()
+            stack.append((i, j, target))
+        while stack:
+            # spans only shrink, so a span the top needs is never below it
+            for functor, args, span in self._tries(*stack[-1]):
+                found = True if span is None else memo.get(span)
+                if found is None:
+                    self._budget.spend()
+                    stack.append(span)
+                    break
+                if found:
+                    memo[stack.pop()] = (functor, args)
+                    break
+            else:
+                memo[stack.pop()] = False
+        return memo[i, j, target] is not False
 
 
 def compile_nfa(lexicon, target: Primitive) -> tuple:
@@ -229,15 +356,16 @@ def reduce_slash_proof(
     return _derive(tbl, target) if tbl.reduce(0, len(seq), target) else None
 
 
-def _derive(tbl: ReductionTable, target: LambekType) -> Proof:
+def _derive(tbl, target: LambekType) -> Proof:
     """The derivation of all positions => target that a chart holding
-    ``reduce(0, n, target)`` witnesses, read off its memos.  The walk keeps
+    ``reduce(0, n, target)`` witnesses, read off its memos (a
+    ``ReductionTable``, ``SpineChart`` or ``LinearChart``).  The walk keeps
     its own stack: a proof as tall as the word needs no frame per level."""
     order, todo = [], [(0, len(tbl.types), target)]
     while todo:  # pre-order, leftmost argument span next
         i, j, goal = todo.pop()
-        # a no-op unless an enclosing span's result came from ``shared``:
-        # then this span, and the splits below it, are not in this table yet
+        # a SpineChart reads a span's witness off its masks only when
+        # asked; the other charts recorded it while deciding
         tbl.reduce(i, j, goal)
         functor, args = tbl.memo[i, j, goal]
         if args is None:  # \L: the front reduces to A in A\goal
@@ -281,7 +409,8 @@ def reduce_linear(seq: Sequence[LambekType], target: LambekType) -> bool:
     and the front reduces to A.
     """
     seq = _query(seq, target, LINEAR_FRAGMENT, "is not a degree-one {/, \\} type")
-    return ReductionTable(seq).reduce(0, len(seq), target)
+    chart = LinearChart(seq, {t: (t,) for t in seq}, _Budget(None))
+    return chart.reduce(0, len(seq), target)
 
 
 def reduce_regular(seq: Sequence[LambekType], target: LambekType) -> bool:

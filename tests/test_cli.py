@@ -9,18 +9,24 @@ import pytest
 
 from lambekit import (
     Backslash,
+    LambekDecider,
     LambekGrammar,
+    LINEAR_FRAGMENT,
     ParseError,
     Primitive,
+    REGULAR_FRAGMENT,
     Slash,
     cfg_to_lambek,
     classify_cfg,
     format_grammar,
     format_lexicon,
+    format_proof,
     lcfg_to_lambek,
     parse_grammar_file,
     parse_lexicon_file,
+    reg_to_lambek,
     to_gnf,
+    validate,
 )
 from lambekit.cli import main
 
@@ -331,7 +337,10 @@ class TestDecideCommand:
         assert code == 0 and out.startswith("member\n")
         # one /L per slash: 99 of (S/B)/S and one S/B
         assert out.count("[/L]") == 199
-        code, out, _ = run(capsys, "decide", lexicon, word, "--proof", "--budget", "1000")
+        # the sweep's 3 steps per a-b pair, the same as deciding the word
+        code, out, _ = run(capsys, "decide", lexicon, word, "--proof", "--budget", "300")
+        assert code == 0 and out.startswith("member\n")
+        code, out, _ = run(capsys, "decide", lexicon, word, "--proof", "--budget", "299")
         assert code == 3 and out == ""
 
     def test_proof_json_is_the_proof_tree(self, files, capsys):
@@ -592,8 +601,8 @@ def _run_main(tmp_path, *argv):
 
 
 class TestRecursionLimit:
-    """Input past Python's recursion limit ends in exit 3, not a traceback
-    under the "no" code."""
+    """Input deeper or longer than Python's recursion limit ends in a
+    verdict or exit 3, never in a traceback under the "no" code."""
 
     def test_deeply_nested_sequent(self, tmp_path):
         n = 2000
@@ -603,14 +612,32 @@ class TestRecursionLimit:
         assert result.stderr.startswith("error:") and result.stdout == ""
 
     def test_long_word_on_the_linear_chart(self, tmp_path):
+        # 1,001 symbols: the linear walk keeps its own stack
         g = parse_grammar_file((ROOT / "samples" / "anban.lcfg").read_text())
         lex = tmp_path / "anban.lex"
         lex.write_text(format_lexicon(lcfg_to_lambek(g)))
         word = "a" * 500 + "b" + "a" * 500
         result = _run_main(tmp_path, "decide", str(lex), word)
-        assert result.returncode == 3
-        assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error:") and result.stdout == ""
+        assert result.returncode == 0 and result.stdout == "member\n"
+        assert result.stderr == ""
+        result = _run_main(tmp_path, "decide", str(lex), word, "--proof")
+        assert result.returncode == 0 and result.stderr == ""
+        proof = LambekDecider(parse_lexicon_file(lex.read_text())).find_proof(word)
+        assert validate(proof, LINEAR_FRAGMENT) == []
+        assert result.stdout == "member\n" + format_proof(proof) + "\n"
+
+    def test_proof_of_a_long_regular_word(self, tmp_path):
+        # (ab)^1000: the NFA decides it, and the sweep that derives it keeps
+        # no frame per symbol
+        g = parse_grammar_file((ROOT / "samples" / "abplus.reg").read_text())
+        lex = tmp_path / "abplus.lex"
+        lex.write_text(format_lexicon(reg_to_lambek(g)))
+        word = "ab" * 1000
+        result = _run_main(tmp_path, "decide", str(lex), word, "--proof")
+        assert result.returncode == 0 and result.stderr == ""
+        proof = LambekDecider(parse_lexicon_file(lex.read_text())).find_proof(word)
+        assert validate(proof, REGULAR_FRAGMENT) == []
+        assert result.stdout == "member\n" + format_proof(proof) + "\n"
 
 
 class TestEntryPoint:

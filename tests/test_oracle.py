@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from pathlib import Path
@@ -18,7 +19,6 @@ from lambekit import (
     Primitive,
     Production,
     REGULAR_FRAGMENT,
-    ReductionTable,
     SLASH_FRAGMENT,
     Sequent,
     Slash,
@@ -32,6 +32,7 @@ from lambekit import (
     lcfg_to_lambek,
     parse_grammar_file,
     parse_lexicon_file,
+    reduce_slash_proof,
     reg_to_lambek,
     to_gnf,
     validate,
@@ -269,6 +270,59 @@ class TestNfaScale:
             decider(word, max_steps=2)
 
 
+class TestWordChartScale:
+    """The word charts on long words: the sweep in the slash fragment, the
+    walk in the linear one; neither keeps a frame per symbol, nor anything
+    between calls."""
+
+    ANBN = parse_lexicon_file((SAMPLES / "anbn.lex").read_text())
+    ANBAN = lcfg_to_lambek(_sample("anban.lcfg"))
+    ABPLUS = reg_to_lambek(_sample("abplus.reg"))
+
+    @pytest.mark.parametrize("member", [True, False], ids=["member", "near-miss"])
+    def test_anbn_at_200_is_fast(self, member):
+        word = ("a",) * 200 + ("b",) * 199 + ("b" if member else "a",)
+        started = time.perf_counter()
+        assert LambekDecider(self.ANBN)(word) is member
+        assert (LambekDecider(self.ANBN).find_proof(word) is not None) is member
+        # the recursive span chart took 2.5 s to decide the member; the
+        # budget tests pin the cost exactly, this only catches a return to it
+        assert time.perf_counter() - started < 1.0
+
+    def test_linear_walk_takes_ten_thousand_symbols(self):
+        decider = LambekDecider(self.ANBAN)
+        word = ("a",) * 5000 + ("b",) + ("a",) * 5000
+        assert decider(word)
+        assert not decider(word[:-1] + ("b",))
+        assert not decider(word[1:])
+
+    def test_regular_proof_of_a_long_word(self):
+        decider = LambekDecider(self.ABPLUS)
+        word = ("a", "b") * 1000
+        proof = decider.find_proof(word)
+        assert proof is not None and len(proof.conclusion.antecedent) == 2000
+        assert validate(proof, REGULAR_FRAGMENT) == []
+        assert decider.find_proof(word[:-1] + ("a",)) is None
+
+    @pytest.mark.parametrize(
+        "lexicon,word",
+        [
+            (ANBN, lambda n: ("a",) * n + ("b",) * n),
+            (ANBAN, lambda n: ("a",) * n + ("b",) + ("a",) * n),
+            (ABPLUS, lambda n: ("a", "b") * n),
+        ],
+        ids=["slash", "linear", "regular"],
+    )
+    def test_decider_keeps_no_per_word_state(self, lexicon, word):
+        decider = LambekDecider(lexicon)
+        shallow, deep = dict(vars(decider)), pickle.dumps(vars(decider))
+        for n in range(100, 150):
+            assert decider(word(n))
+            assert decider.find_proof(word(n)) is not None
+        assert vars(decider) == shallow
+        assert pickle.dumps(vars(decider)) == deep
+
+
 ANBN_LEX = cfg_to_lambek(to_gnf(corpus.anbn()))
 
 
@@ -475,6 +529,29 @@ def _corpus_lexicons():
     return lexicons
 
 
+def _least_budget(run, word):
+    """The least max_steps with which run(word, max_steps=...) returns; a
+    run spends the same steps every time, so bisection finds it."""
+
+    def fits(k):
+        try:
+            run(word, max_steps=k)
+        except StepLimitExceeded:
+            return False
+        return True
+
+    lo, hi = -1, 1
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestFindProof:
     """find_proof decides membership and reads its witness off the same
     chart; each proof is checked here, never in the decider."""
@@ -494,25 +571,61 @@ class TestFindProof:
             assert len(ant) == len(w)
             assert all(t in lexicon.lexicon[sym] for t, sym in zip(ant, w)), w
             assert validate(proof, decider.config) == [], w
-            # many of the warm finder's spans come from its shared map, whose
-            # splits the walk fills in; a fresh decider derives them itself
+            # a warm finder keeps nothing from earlier words
             assert proof == LambekDecider(lexicon).find_proof(w), w
-            # the walk asks only what a chart with no shared results asks
-            # to decide the word (shared results can skip a span's splits)
-            chart = ReductionTable(w, None, lexicon.lexicon)
-            assert chart.reduce(0, len(w), target)
-            assert LambekDecider(lexicon).find_proof(w, max_steps=chart.ops) is not None
+            if decider.config != LINEAR_FRAGMENT:
+                # the sweep's witness is the sequence chart's on the same
+                # type assignment: first decomposition, leftmost split
+                assert proof == reduce_slash_proof(ant, target), w
+            # reading the witness costs nothing beyond deciding the word
+            cost = _least_budget(finder.find_proof, w)
+            if decider.config == REGULAR_FRAGMENT:
+                # the NFA decides and the sweep derives; each type of this
+                # lexicon keeps one decomposition, a step per type offered
+                assert cost == sum(len(lexicon.lexicon[sym]) for sym in w), w
+            else:
+                assert cost == _least_budget(decider, w), w
+
+    def test_witness_order_on_an_ambiguous_lexicon(self):
+        # the first type in lexicon order, its first decomposition, and the
+        # leftmost split, where other choices derive the same word
+        lg = LambekGrammar(
+            ("S", "B"),
+            ("a", "b", "c"),
+            "S",
+            {"a": (S / S, S / B), "b": (B, S, S / S), "c": ((S / S) / S,)},
+        )
+        decider = LambekDecider(lg)
+        for word, ant in [
+            ("ab", (S / B, B)),
+            ("cbbb", ((S / S) / S, S, S / S, S)),
+        ]:
+            proof = decider.find_proof(word)
+            assert proof.conclusion == Sequent(ant, S), word
+            assert validate(proof, SLASH_FRAGMENT) == []
 
     def test_long_word_costs_what_membership_costs(self):
         lexicon = parse_lexicon_file((SAMPLES / "anbn.lex").read_text())
         word = ("a",) * 100 + ("b",) * 100
-        chart = ReductionTable(word, {}, lexicon.lexicon)
-        assert chart.reduce(0, len(word), lexicon.target)
-        proof = LambekDecider(lexicon).find_proof(word, max_steps=chart.ops)
+        cost = _least_budget(LambekDecider(lexicon), word)
+        proof = LambekDecider(lexicon).find_proof(word, max_steps=cost)
         assert proof is not None
         assert validate(proof, SLASH_FRAGMENT) == []
         with pytest.raises(StepLimitExceeded):
-            LambekDecider(lexicon).find_proof(word, max_steps=chart.ops - 1)
+            LambekDecider(lexicon).find_proof(word, max_steps=cost - 1)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_anbn_costs_three_steps_per_pair(self, n):
+        # a's types S/B and (S/B)/S keep one decomposition each, S over B
+        # and S over S, B, and b's type B keeps its own: a step per type
+        # kept at each position, so 2 per a and 1 per b
+        lexicon = parse_lexicon_file((SAMPLES / "anbn.lex").read_text())
+        word = ("a",) * n + ("b",) * n
+        decider = LambekDecider(lexicon)
+        for run in (decider, decider.find_proof):
+            assert run(word, max_steps=3 * n)
+            with pytest.raises(StepLimitExceeded):
+                run(word, max_steps=3 * n - 1)
 
     def test_proof_as_tall_as_the_word(self):
         # 801 symbols: a walk with a frame per position would overflow
