@@ -55,14 +55,14 @@ from .transform import remove_unit_productions
 Word = Sequence[str]
 
 
-def _checked_word(w: Word, symbols) -> tuple:
+def _checked_word(w: Word, symbols: frozenset) -> tuple:
     # a plain string is read as its characters; otherwise a symbol sequence
     word = tuple(w)
     if not word:
         raise GrammarError("the empty string is outside every language here")
-    for sym in word:
-        if sym not in symbols:
-            raise GrammarError(f"unknown symbol {sym!r}")
+    if not symbols.issuperset(word):
+        unknown = next(sym for sym in word if sym not in symbols)
+        raise GrammarError(f"unknown symbol {unknown!r}")
     return word
 
 
@@ -251,10 +251,11 @@ class LambekDecider:
     method "auto" decides a word with lexicon choices folded in, and is
     "prove" outside the chart fragments: a /-only lexicon is compiled here
     once to the GNF rules that ``SpineChart`` sweeps, a regular one also to
-    an NFA over int bitmasks (``compile_nfa``) that decides it, and a
-    linear one is walked by ``LinearChart``.  A call keeps nothing once it
-    returns.  "recognizer" and "prove" enumerate type assignments one by
-    one and hand each to the fragment recognizer or the prover.  All three
+    an NFA over int bitmasks (``compile_nfa``) that decides it, determinised
+    per call and walked by ``functools.reduce``, and a linear one is walked
+    by ``LinearChart``.  A call keeps nothing once it returns.
+    "recognizer" and "prove" enumerate type assignments one by one and
+    hand each to the fragment recognizer or the prover.  All three
     agree; the slower routes keep each other honest in tests.  A budget
     step is a (position, kept spine decomposition) of the sweep, a span the
     linear walk expands or a position the NFA reads before the last, and
@@ -269,6 +270,7 @@ class LambekDecider:
         method: str = "auto",
     ):
         self.grammar = lg
+        self._symbols = frozenset(lg.lexicon)
         self.config = config or infer_config(lg)
         if method not in ("auto", "recognizer", "prove"):
             raise ValueError(f"unknown method {method!r}")
@@ -300,7 +302,7 @@ class LambekDecider:
             self._chart = (SpineChart, compile_spines(lg.lexicon, lg.target))
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
-        word = _checked_word(w, self.grammar.lexicon)
+        word = _checked_word(w, self._symbols)
         budget = _Budget(max_steps)
         target = self.grammar.target
         if self.method == "auto" and self._fragment is not None:
@@ -320,7 +322,7 @@ class LambekDecider:
         fragment it is read off the chart that decided membership (for a
         regular lexicon, the sweep, which decides it too), elsewhere found
         by search."""
-        word = _checked_word(w, self.grammar.lexicon)
+        word = _checked_word(w, self._symbols)
         budget = _Budget(max_steps)
         if self._fragment is None:
             return self._first(word, budget, self._proof)

@@ -16,13 +16,18 @@ lexicon compiled once by ``compile_spines``.  ``LinearChart`` decides the
 linear fragment, word or sequence, by a goal-directed walk with its own
 stack.  For degree-one /-only types ``nfa_member`` decides in one
 left-to-right pass over an automaton ``compile_nfa`` builds once as int
-bitmasks: a state is the mask of primitives still wanted.  Each chart
-records how a span reduced, not only whether, so ``_derive`` reads the /L
-and \\L steps straight off it.
+bitmasks, a state being the mask of primitives still wanted: each call
+determinises it as far as the word takes it, and ``functools.reduce``
+walks the states in C, entering Python only for a move not yet computed.
+Each chart records how a span reduced, not only whether, so ``_derive``
+reads the /L and \\L steps straight off it.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import islice
+from operator import getitem
 from typing import Optional, Sequence
 
 from .core import (
@@ -279,7 +284,8 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
     to produce, and p/q where p is wanted leaves q wanted.  Returns the
     start mask (the target's bit) and, per key of ``lexicon`` (a symbol, or
     for a type sequence the type itself), its (result bit, argument bit)
-    moves and the mask of primitives it offers outright."""
+    moves and the mask of primitives it offers outright.  ``nfa_member``
+    determinises it per call."""
     bits: dict = {}
 
     def bit(p: Primitive) -> int:
@@ -299,23 +305,55 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
     return start, moves, finals
 
 
-def nfa_member(word: Sequence, nfa: tuple, budget: Optional[_Budget] = None) -> bool:
-    """Decide reducibility for degree-one /-only candidates in one pass over
-    ``compile_nfa``'s automaton, one budget step per position read before
-    the last."""
-    want, moves, finals = nfa
-    for sym in word[:-1]:
-        if budget is not None:
-            budget.spend()
+class _Dead(Exception):
+    """A run that wants nothing: no suffix completes it."""
+
+
+class _State(dict):
+    """A mask of wanted primitives, as a subset-automaton state: it maps a
+    symbol to the next state, computing the move (Rabin & Scott 1959) the
+    first time a run reads it.  ``_states`` interns the masks of one run."""
+
+    __slots__ = ("want", "_moves", "_states")
+
+    def __init__(self, want: int, moves: dict, states: dict):
+        self.want, self._moves, self._states = want, moves, states
+        states[want] = self
+
+    def __missing__(self, sym):
         nxt = 0
-        for result, arg in moves[sym]:
-            if want & result:
+        for result, arg in self._moves[sym]:
+            if self.want & result:
                 nxt |= arg
         if not nxt:
             # a mid-sequence primitive ends the spine with input left over
-            return False
-        want = nxt
-    return bool(want & finals[word[-1]])
+            raise _Dead
+        state = self._states.get(nxt)
+        if state is None:
+            state = _State(nxt, self._moves, self._states)
+        self[sym] = state
+        return state
+
+
+def nfa_member(word: Sequence, nfa: tuple, budget: Optional[_Budget] = None) -> bool:
+    """Decide reducibility for degree-one /-only candidates in one pass over
+    ``compile_nfa``'s automaton, determinised as the run reaches its states
+    and walked by ``functools.reduce``: a Python frame per move computed,
+    not per symbol.  The states go with the call.  One budget step per
+    position read before the last, so the walk stops after ``budget.left``
+    positions: a run that died within them is a verdict, one still alive
+    there an overrun."""
+    start, moves, finals = nfa
+    read = len(word) - 1
+    if budget is not None and budget.left is not None:
+        read = max(0, min(read, budget.left))
+    try:
+        state = functools.reduce(getitem, islice(word, read), _State(start, moves, {}))
+    except _Dead:
+        return False
+    if read < len(word) - 1:
+        budget.spend(len(word) - 1)  # alive where the budget ran out
+    return bool(state.want & finals[word[-1]])
 
 
 def _query(

@@ -393,6 +393,16 @@ class TestDecideCommand:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "budget" in err
 
+    def test_unknown_symbol_is_named(self, files, capsys):
+        # the first unknown one in word order, even under a zero budget
+        tmp_path, grammar, lexicon = files
+        regular = tmp_path / "abplus.lex"
+        regular.write_text(format_lexicon(reg_to_lambek(corpus.abplus())))
+        for f in (grammar, lexicon, str(regular)):
+            for extra in ((), ("--budget", "0")):
+                code, out, err = run(capsys, "decide", f, "abcbd", *extra)
+                assert (code, out, err) == (3, "", "error: unknown symbol 'c'\n"), f
+
     def test_json(self, files, capsys):
         _, _, lexicon = files
         code, out, _ = run(capsys, "decide", lexicon, "ab", "--json")

@@ -270,6 +270,111 @@ class TestNfaScale:
             decider(word, max_steps=2)
 
 
+def _naive_run(lexicon, target, word):
+    """The regular fragment stepped by hand, with no automaton: the set of
+    primitives the rest of the word must produce, one symbol at a time.
+    Returns the verdict and the positions read before it was reached."""
+    wanted = {target}
+    for k, sym in enumerate(word[:-1]):
+        wanted = {t.arg for t in lexicon[sym] if type(t) is Slash and t.result in wanted}
+        if not wanted:
+            return False, k + 1
+    return any(t in wanted for t in lexicon[word[-1]]), len(word) - 1
+
+
+def _random_regular_lexicon(rng):
+    prims = [Primitive(f"P{i}") for i in range(rng.randint(2, 4))]
+    alphabet = ("a", "b", "c")[: rng.randint(2, 3)]
+    lexicon = {
+        sym: tuple(
+            rng.choice(prims) if rng.random() < 0.3 else rng.choice(prims) / rng.choice(prims)
+            for _ in range(rng.randint(1, 3))
+        )
+        for sym in alphabet
+    }
+    return LambekGrammar(tuple(p.name for p in prims), alphabet, "P0", lexicon)
+
+
+def _long_word(rng, lg, n, death=None):
+    """n symbols that keep the run alive while some symbol can, but for the
+    one at position ``death``, which kills it if some symbol can; the last
+    accepts if one can."""
+    wanted, word = {lg.target}, []
+    for k in range(n - 1):
+        steps = {
+            sym: {t.arg for t in types if type(t) is Slash and t.result in wanted}
+            for sym, types in lg.lexicon.items()
+        }
+        fits = sorted(sym for sym, nxt in steps.items() if bool(nxt) != (k == death))
+        sym = rng.choice(fits or sorted(steps))
+        word.append(sym)
+        wanted = steps[sym] or wanted
+    finals = sorted(sym for sym, types in lg.lexicon.items() if wanted.intersection(types))
+    return tuple(word) + (rng.choice(finals or sorted(lg.lexicon)),)
+
+
+class TestNfaAgainstNaiveStepper:
+    """The determinised walk against a by-hand stepper on random degree-one
+    /-only lexicons: the same verdicts, and the least budget that decides a
+    word is min(n - 1, death position + 1)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_short_words(self, seed):
+        lg = _random_regular_lexicon(random.Random(seed))
+        decider = LambekDecider(lg)
+        assert decider.config == REGULAR_FRAGMENT
+        for w in enumerate_strings(lg.alphabet, 8):
+            verdict, steps = _naive_run(lg.lexicon, lg.target, w)
+            assert decider(w) is verdict, w
+            assert _least_budget(decider, w) == steps, w
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_long_words(self, seed):
+        rng = random.Random(seed)
+        lg = _random_regular_lexicon(rng)
+        decider = LambekDecider(lg)
+        for death in (None, None, rng.randrange(9_999)):
+            w = _long_word(rng, lg, 10_000, death)
+            verdict, steps = _naive_run(lg.lexicon, lg.target, w)
+            assert decider(w) is verdict
+            assert _least_budget(decider, w) == steps
+
+    def test_death_after_the_budget_raises(self):
+        lg = reg_to_lambek(corpus.abplus())
+        word = ("a", "b") * 100 + ("b", "b") + ("a", "b") * 100
+        decider = LambekDecider(lg)
+        # the second "b" in a row wants nothing: dead at position 200
+        assert _naive_run(lg.lexicon, lg.target, word) == (False, 201)
+        assert not decider(word, max_steps=201)
+        for k in (0, 1, 100, 200):
+            with pytest.raises(StepLimitExceeded):
+                decider(word, max_steps=k)
+
+
+class TestUnknownSymbols:
+    """A word's first unknown symbol in word order is the one named, and it
+    is named before any budget is spent."""
+
+    DECIDERS = [
+        CfgDecider(corpus.anbn()),
+        LambekDecider(cfg_to_lambek(to_gnf(corpus.anbn()))),
+        LambekDecider(lcfg_to_lambek(corpus.anban_linear())),
+        LambekDecider(reg_to_lambek(corpus.abplus())),
+    ]
+
+    @pytest.mark.parametrize("decider", DECIDERS, ids=["cfg", "slash", "linear", "regular"])
+    def test_first_unknown_symbol_is_named(self, decider):
+        calls = [decider]
+        if isinstance(decider, LambekDecider):
+            calls.append(decider.find_proof)
+        for call in calls:
+            for max_steps in (None, 0):
+                with pytest.raises(GrammarError, match="unknown symbol 'z'"):
+                    call(("a", "b", "z", "b", "y"), max_steps=max_steps)
+                with pytest.raises(GrammarError, match="unknown symbol 'y'"):
+                    call("aby" + "ab" * 50 + "z", max_steps=max_steps)
+
+
 class TestWordChartScale:
     """The word charts on long words: the sweep in the slash fragment, the
     walk in the linear one; neither keeps a frame per symbol, nor anything
