@@ -19,8 +19,9 @@ left-to-right pass over an automaton ``compile_nfa`` builds once as int
 bitmasks, a state being the mask of primitives still wanted: each call
 determinises it as far as the word takes it, and ``functools.reduce``
 walks the states in C, entering Python only for a move not yet computed.
-Each chart records how a span reduced, not only whether, so ``_derive``
-reads the /L and \\L steps straight off it.
+Each chart keeps nothing after its query, and records how a span
+reduced, not only whether, so ``_derive`` reads the /L and \\L steps
+straight off it.
 """
 
 from __future__ import annotations
@@ -50,26 +51,24 @@ from .core import (
 
 
 class ReductionTable:
-    """Memoized slash-fragment chart over a type sequence.
+    """Memoized slash-fragment chart over one type sequence.
 
     ``reduce(i, j, target)`` says whether types i..j-1 reduce to target by
-    /L; ``types`` holds the sequence as a tuple.  A table serves one query
-    sequence; ``shared`` optionally points at a cross-query map keyed by
-    (span-as-tuple, target) so separate tables can reuse results.  ``ops``
+    /L; ``types`` holds the sequence as a tuple.  A table charts one query
+    and keeps nothing after it; ``shared`` is accepted and ignored.  ``ops``
     counts chart expansions, which the tests use to bound the growth rate.
 
     The memos are the witness ``_derive`` reads proofs off.  ``memo`` maps
-    (i, j, target), and ``shared`` its span's contents, to the first way
-    found, (functor, args) when the type ``functor`` at i peels to target
-    over ``args`` (() for an axiom), or False.  ``_splits`` maps (i, j,
-    args) to the end of the first chunk of the leftmost split, or False.
+    (i, j, target) to the first way found, (functor, args) when the type
+    ``functor`` at i peels to target over ``args`` (() for an axiom), or
+    False.  ``_splits`` maps (i, j, args) to the end of the first chunk of
+    the leftmost split, or False.
     """
 
     def __init__(self, seq: Sequence, shared: Optional[dict] = None):
         self.types = tuple(seq)
         self.memo: dict = {}
         self._splits: dict = {}
-        self._shared = shared
         self.ops = 0
 
     def reduce(self, i: int, j: int, target: LambekType) -> bool:
@@ -77,11 +76,6 @@ class ReductionTable:
         hit = self.memo.get(key)
         if hit is not None:
             return hit is not False
-        if self._shared is not None:
-            hit = self._shared.get((self.types[i:j], target))
-            if hit is not None:
-                self.memo[key] = hit
-                return hit is not False
         self.ops += 1
         # a direct call for one-argument spines keeps the recursion at one
         # frame per position on degree-one chains
@@ -101,8 +95,6 @@ class ReductionTable:
                 value = (first, args)
                 break
         self.memo[key] = value
-        if self._shared is not None:
-            self._shared[(self.types[i:j], target)] = value
         return value is not False
 
     def _split(self, i: int, j: int, args: tuple) -> bool:
@@ -379,10 +371,14 @@ def _query(
 def reduce_slash(
     seq: Sequence[LambekType], target: LambekType, table: Optional[ReductionTable] = None
 ) -> bool:
-    """Decide whether the /-only sequence reduces to the target."""
+    """Decide whether the /-only sequence reduces to the target.  A
+    ``table``, passed only so the caller can read its ``ops`` and ``memo``
+    afterwards, must chart ``seq`` itself, or FragmentError."""
     seq = _query(seq, target, SLASH_FRAGMENT, "uses connectives other than /")
-    tbl = table if table is not None else ReductionTable(seq)
-    return tbl.reduce(0, len(seq), target)
+    table = table if table is not None else ReductionTable(seq)
+    if table.types != seq:
+        raise FragmentError("table charts a different sequence than the query")
+    return table.reduce(0, len(seq), target)
 
 
 def reduce_slash_proof(

@@ -13,7 +13,6 @@ from lambekit import (
     LambekDecider,
     Primitive,
     ProofEngine,
-    ReductionTable,
     Sequent,
     SLASH_FRAGMENT,
     cfg_member,
@@ -131,13 +130,12 @@ def test_criterion_4_recognizer_matches_prover_exhaustively():
     ts = types_up_to(2, (S, B), ("/",))
     assert len(ts) == 22
     engine = ProofEngine()
-    shared: dict = {}
     checked = 0
     for length in (1, 2, 3, 4):
         for ant in itertools.product(ts, repeat=length):
             for target in (S, B):
                 expected = engine.prove(Sequent(ant, target), SLASH_FRAGMENT)
-                got = reduce_slash(ant, target, ReductionTable(ant, shared=shared))
+                got = reduce_slash(ant, target)
                 assert got == expected.provable, Sequent(ant, target)
                 checked += 1
     assert checked == 490820

@@ -88,15 +88,22 @@ class TestReduceSlash:
         want = ProofEngine().prove(seq, SLASH_FRAGMENT).provable
         assert reduce_slash(ant, tgt) == want
 
-    def test_shared_table_avoids_rework(self):
+    def test_table_keeps_nothing_between_queries(self):
         ant = ((S / B) / S, S / B, B, B)
-        shared = {}
-        t1 = ReductionTable(ant, shared)
+        given_map = {}
+        t1 = ReductionTable(ant, given_map)
         assert t1.reduce(0, len(ant), S)
-        first_ops = t1.ops
-        t2 = ReductionTable(ant, shared)
+        t2 = ReductionTable(ant, given_map)
         assert t2.reduce(0, len(ant), S)
-        assert t2.ops < first_ops
+        assert t2.ops == t1.ops
+        assert given_map == {}
+
+    def test_rejects_table_for_another_sequence(self):
+        # a provable query on an unprovable table, and the other way round
+        with pytest.raises(FragmentError):
+            reduce_slash([B], B, ReductionTable([S / B, B]))
+        with pytest.raises(FragmentError):
+            reduce_slash([S / B], S, ReductionTable([S]))
 
 
 class TestReduceSlashProof:
