@@ -3,9 +3,11 @@
 Two independent routes exist for everything at desk scale: grammars are
 decided by a right-to-left sweep over a GNF grammar's terminal-first rules
 or by bit-vector CYK, each ``CfgDecider`` compiling its route's tables
-once (CYK's to int-numbered nonterminals, so a call does int operations
-only); lexicons by the word charts and NFA of ``recognizer``, whose tables
-each ``LambekDecider`` compiles once and whose per-word state goes with the
+once to int-numbered nonterminals, so a call does int operations only
+(the sweep's columns are lists indexed by those ints, and the rules
+sharing a terminal and a tail fold it once per column); lexicons by the
+word charts and NFA of ``recognizer``, whose tables each
+``LambekDecider`` compiles once and whose per-word state goes with the
 call, or by raw proof search over every type assignment.  A lexicon's
 derivations come from the same routes: read off the chart that decided
 membership, or found by the search.  ``crosscheck`` walks all strings up
@@ -80,30 +82,59 @@ def enumerate_strings(alphabet: Iterable[str], max_len: int) -> Iterator[tuple]:
 # CFG membership
 
 
+def _gnf_tables(g: Cfg) -> tuple:
+    """The GNF sweep's tables, every nonterminal interned to an int, the
+    start as 0: per terminal, its rule count and its rules grouped by tail,
+    as (first tail id or None, rest of the tail's ids, head ids)."""
+    ids: dict = {g.start: 0}
+    tails: dict = {a: {} for a in g.terminals}
+    for p in g.productions:
+        tail = tuple(ids.setdefault(sym, len(ids)) for sym in p.rhs[1:])
+        tails[p.rhs[0]].setdefault(tail, []).append(ids.setdefault(p.lhs, len(ids)))
+    rules = {
+        a: (
+            sum(map(len, groups.values())),
+            tuple(
+                (tail[0] if tail else None, tail[1:], tuple(heads))
+                for tail, heads in groups.items()
+            ),
+        )
+        for a, groups in tails.items()
+    }
+    return rules, len(ids)
+
+
 def _gnf_member(tables: tuple, w: tuple, budget: _Budget) -> bool:
     """Right-to-left sweep: ends[i][A] is a bitmask of the end positions e
-    with A =>* w[i:e].  A GNF rule consumes its terminal first, so column i
-    is built from later columns only, each (position, rule) tried once."""
-    rules, start = tables
+    with A =>* w[i:e], a column being a list indexed by ``_gnf_tables``'s
+    ids.  A GNF rule consumes its terminal first, so column i is built
+    from later columns only: each distinct tail of w[i]'s rules is folded
+    once, its first symbol's ends read straight off column i + 1, and the
+    result ORed into every head sharing it.  The budget is charged once
+    per column, a step per (position, rule)."""
+    rules, size = tables
     n = len(w)
-    ends: list = [None] * n + [{}]
+    ends: list = [None] * n + [[0] * size]
     for i in range(n - 1, -1, -1):
-        col: dict = {}
-        for lhs, tail in rules.get(w[i], ()):
-            budget.spend()
-            reach = 1 << (i + 1)
-            for sym in tail:
+        count, groups = rules[w[i]]
+        budget.spend(count)
+        col = [0] * size
+        nxt = ends[i + 1]
+        for first, rest, heads in groups:
+            reach = 1 << (i + 1) if first is None else nxt[first]
+            for sym in rest:
                 # every end of sym from every position the prefix reaches
                 step = 0
                 while reach:
                     low = reach & -reach
-                    step |= ends[low.bit_length() - 1].get(sym, 0)
+                    step |= ends[low.bit_length() - 1][sym]
                     reach ^= low
                 reach = step
             if reach:
-                col[lhs] = col.get(lhs, 0) | reach
+                for head in heads:
+                    col[head] |= reach
         ends[i] = col
-    return bool(ends[0].get(start, 0) >> n & 1)
+    return bool(ends[0][0] >> n & 1)
 
 
 def _cnf_tables(g: Cfg) -> tuple:
@@ -191,10 +222,13 @@ class CfgDecider:
     """Membership decider for one grammar; usable as a crosscheck arm.
 
     The route ("gnf" or "cyk", in ``method``) is chosen and its tables are
-    built once, here: GNF rules by their terminal for the sweep; for CYK,
-    unit-free binarized rules over nonterminals interned to ints (the start
-    as 0), which a call runs as bitmask ANDs, one budget step per (span,
-    binary rule).  A call only checks the word and runs the route.
+    built once, here, over nonterminals interned to ints (the start as 0).
+    For the sweep, GNF rules by their terminal, grouped by tail
+    (``_gnf_tables``): a column folds each distinct tail once and charges
+    the budget once, a step per (position, rule).  For CYK, unit-free
+    binarized rules, which a call runs as bitmask ANDs, one budget step
+    per (span, binary rule).  A call only checks the word and runs the
+    route.
     """
 
     def __init__(self, g: Cfg, method: str = "auto"):
@@ -204,10 +238,7 @@ class CfgDecider:
         elif method == "gnf" and not classify_cfg(g).is_gnf:
             raise FragmentError("the GNF sweep requires Greibach normal form")
         if method == "gnf":
-            rules: dict = {}
-            for p in g.productions:
-                rules.setdefault(p.rhs[0], []).append((p.lhs, p.rhs[1:]))
-            self._tables, self._member = (rules, g.start), _gnf_member
+            self._tables, self._member = _gnf_tables(g), _gnf_member
         elif method == "cyk":
             self._tables, self._member = _cnf_tables(g), _cyk_member
         else:
@@ -250,16 +281,19 @@ class LambekDecider:
 
     method "auto" decides a word with lexicon choices folded in, and is
     "prove" outside the chart fragments: a /-only lexicon is compiled here
-    once to the GNF rules that ``SpineChart`` sweeps, a regular one also to
-    an NFA over int bitmasks (``compile_nfa``) that decides it, determinised
-    per call and walked by ``functools.reduce``, and a linear one is walked
+    once to the GNF rules that ``SpineChart`` sweeps, each distinct
+    argument tuple folded once per column and the verdict read off the
+    target's column-0 mask, with no witness read; a regular one also to an
+    NFA over int bitmasks (``compile_nfa``) that decides it, determinised
+    per call and walked by ``functools.reduce``; and a linear one is walked
     by ``LinearChart``.  A call keeps nothing once it returns.
     "recognizer" and "prove" enumerate type assignments one by one and
     hand each to the fragment recognizer or the prover.  All three
     agree; the slower routes keep each other honest in tests.  A budget
-    step is a (position, kept spine decomposition) of the sweep, a span the
-    linear walk expands or a position the NFA reads before the last, and
-    elsewhere a type assignment tried or a search node expanded.
+    step is a (position, kept spine decomposition) of the sweep, charged a
+    column at a time, a span the linear walk expands or a position the NFA
+    reads before the last, and elsewhere a type assignment tried or a
+    search node expanded.
     ``find_proof`` decides and derives in one call.
     """
 
@@ -309,7 +343,11 @@ class LambekDecider:
             if self._nfa is not None:
                 return nfa_member(word, self._nfa, budget)
             chart, tables = self._chart
-            return chart(word, tables, budget).reduce(0, len(word), target)
+            found = chart(word, tables, budget)
+            if chart is SpineChart:
+                # the target is head 0; no witness is read
+                return bool(found.ends[0][0] >> len(word) & 1)
+            return found.reduce(0, len(word), target)
         if self.method != "recognizer":
             return self._first(word, budget, self._proof) is not None
         if self._recognize is None:

@@ -12,16 +12,17 @@ is A\\target and the front reduces to A (the linear fragment).
 top-down.  Over a word, each spine decomposition (head, args) of a type
 for symbol a is the GNF rule head -> a args, so ``SpineChart`` decides the
 slash fragment by a right-to-left sweep over end-position bitmasks, the
-lexicon compiled once by ``compile_spines``.  ``LinearChart`` decides the
-linear fragment, word or sequence, by a goal-directed walk with its own
-stack.  For degree-one /-only types ``nfa_member`` decides in one
-left-to-right pass over an automaton ``compile_nfa`` builds once as int
-bitmasks, a state being the mask of primitives still wanted: each call
-determinises it as far as the word takes it, and ``functools.reduce``
-walks the states in C, entering Python only for a move not yet computed.
-Each chart keeps nothing after its query, and records how a span
-reduced, not only whether, so ``_derive`` reads the /L and \\L steps
-straight off it.
+lexicon compiled once by ``compile_spines`` to heads interned as ints
+and rules grouped by argument tuple, which a column folds once each.
+``LinearChart`` decides the linear fragment, word or sequence, by a
+goal-directed walk with its own stack.  For degree-one /-only types
+``nfa_member`` decides in one left-to-right pass over an automaton
+``compile_nfa`` builds once as int bitmasks, a state being the mask of
+primitives still wanted: each call determinises it as far as the word
+takes it, and ``functools.reduce`` walks the states in C, entering Python
+only for a move not yet computed.  Each chart keeps nothing after its
+query, and records how a span reduced, not only whether, so ``_derive``
+reads the /L and \\L steps straight off it.
 """
 
 from __future__ import annotations
@@ -125,9 +126,12 @@ def compile_spines(lexicon, target: LambekType) -> tuple:
     """A /-only lexicon as GNF rules: each spine decomposition (head, args)
     of a symbol's type is a rule head -> symbol args.  A rule is kept when
     its head can be wanted: the target, or an argument of a kept rule, to a
-    fixpoint.  Returns the wanted heads interned to ints (the target as 0)
-    and, per symbol, its kept rules as (type, head, args, head id, argument
-    ids), in lexicon order, then spine order."""
+    fixpoint.  Returns the wanted heads interned to ints (the target as 0);
+    per symbol, its kept rules as (type, head, args, argument ids), in
+    lexicon order, then spine order, which the witness readers walk; and
+    per symbol, for the sweep, its kept-rule count and its kept rules
+    grouped by argument ids, as (first argument id or None, the rest's
+    ids, head ids)."""
     rules = {
         sym: [(t, head, args) for t in types for head, args in spine_decompositions(t)]
         for sym, types in lexicon.items()
@@ -143,13 +147,25 @@ def compile_spines(lexicon, target: LambekType) -> tuple:
                         ids.setdefault(a, len(ids))
     kept = {
         sym: tuple(
-            (t, head, args, ids[head], tuple(ids[a] for a in args))
+            (t, head, args, tuple(ids[a] for a in args))
             for t, head, args in decompositions
             if head in ids
         )
         for sym, decompositions in rules.items()
     }
-    return ids, kept
+    sweep = {}
+    for sym, spines in kept.items():
+        groups: dict = {}
+        for _, head, _, arg_ids in spines:
+            groups.setdefault(arg_ids, []).append(ids[head])
+        sweep[sym] = (
+            len(spines),
+            tuple(
+                (arg_ids[0] if arg_ids else None, arg_ids[1:], tuple(heads))
+                for arg_ids, heads in groups.items()
+            ),
+        )
+    return ids, kept, sweep
 
 
 def _fold(ends: list, reach: int, args: Sequence[int]) -> int:
@@ -170,28 +186,35 @@ class SpineChart:
     ``compile_spines``'s rules, with bitmask columns as in bit-vector CYK
     (Graham, Harrison & Ruzzo 1980).
 
-    ``_ends[i][h]`` is a bitmask of the ends e with word[i:e] reducing to
-    head h.  A rule consumes its symbol first, so column i folds the
-    arguments of each kept rule for word[i] over later columns only.  The
-    budget is charged once per column, a step per kept rule.  ``reduce``
-    and ``_split`` read the witness off the masks in ``ReductionTable``'s
+    ``ends[i][h]`` is a bitmask of the ends e with word[i:e] reducing to
+    head h, so the word reduces to the target when ``ends[0][0]`` has bit
+    n.  A rule consumes its symbol first, so column i is built from later
+    columns only: each distinct argument tuple of word[i]'s kept rules is
+    folded once, its first argument's ends read straight off column
+    i + 1, and the result ORed into every head sharing it.  The budget is
+    charged once per column, a step per kept rule.  ``reduce`` and
+    ``_split`` read the witness off the masks in ``ReductionTable``'s
     shape and order: the first kept rule whose fold reaches j, and the
     least end of a first chunk from which the rest folds to j.
     """
 
     def __init__(self, word: tuple, spines: tuple, budget: _Budget):
-        self._ids, self._kept = spines
+        self._ids, self._kept, sweep = spines
         self.types = word
         self.memo: dict = {}
         self._splits: dict = {}
         n, size = len(word), len(self._ids)
-        self._ends = ends = [None] * n + [[0] * size]
+        self.ends = ends = [None] * n + [[0] * size]
         for i in range(n - 1, -1, -1):
-            rules = self._kept[word[i]]
-            budget.spend(len(rules))
+            count, groups = sweep[word[i]]
+            budget.spend(count)
             col = [0] * size
-            for _, _, _, head, args in rules:
-                col[head] |= _fold(ends, 1 << (i + 1), args)
+            nxt = ends[i + 1]
+            for first, rest, heads in groups:
+                reach = 1 << (i + 1) if first is None else _fold(ends, nxt[first], rest)
+                if reach:
+                    for head in heads:
+                        col[head] |= reach
             ends[i] = col
 
     def reduce(self, i: int, j: int, target: LambekType) -> bool:
@@ -200,8 +223,8 @@ class SpineChart:
             self.memo[key] = next(
                 (
                     (t, args)
-                    for t, head, args, _, arg_ids in self._kept[self.types[i]]
-                    if head == target and _fold(self._ends, 1 << (i + 1), arg_ids) >> j & 1
+                    for t, head, args, arg_ids in self._kept[self.types[i]]
+                    if head == target and _fold(self.ends, 1 << (i + 1), arg_ids) >> j & 1
                 ),
                 False,
             )
@@ -211,10 +234,10 @@ class SpineChart:
         key = (i, j, args)
         if key not in self._splits:
             rest = [self._ids[a] for a in args[1:]]
-            value, firsts = False, self._ends[i][self._ids[args[0]]]
+            value, firsts = False, self.ends[i][self._ids[args[0]]]
             while firsts and value is False:
                 low = firsts & -firsts
-                if _fold(self._ends, low, rest) >> j & 1:
+                if _fold(self.ends, low, rest) >> j & 1:
                     value = low.bit_length() - 1
                 firsts ^= low
             self._splits[key] = value

@@ -208,6 +208,57 @@ class TestCykAgainstDerivations:
         assert 0.05 * tested < members < 0.95 * tested
 
 
+class TestGnfSweepsAgainstDerivations:
+    """Both GNF-rule sweeps, the grammar's and its lexicon's, against
+    ``derivations`` on the GNF form of each random grammar."""
+
+    GRAMMARS = 200
+    MAX_LEN = 6
+
+    def test_every_short_string_of_random_grammars(self):
+        members = tested = shared_tails = 0
+        for seed in range(self.GRAMMARS):
+            g = _random_cfg(random.Random(seed))
+            language = bounded_language(
+                g.productions, g.start, g.nonterminals, self.MAX_LEN
+            )
+            gnf = to_gnf(g)
+            sweep, lexicon = CfgDecider(gnf, "gnf"), LambekDecider(cfg_to_lambek(gnf))
+            for k in range(1, self.MAX_LEN + 1):
+                for w in itertools.product(g.terminals, repeat=k):
+                    verdict = w in language
+                    assert sweep(w) == verdict, (seed, w)
+                    assert lexicon(w) == verdict, (seed, w)
+                    members += verdict
+                    tested += 1
+            # two rules for one terminal with one tail: one fold, two heads
+            tails = [(p.rhs[0], p.rhs[1:]) for p in gnf.productions]
+            shared_tails += len(set(tails)) < len(tails)
+        assert shared_tails >= 20
+        assert 0 < members < tested
+
+    @pytest.mark.parametrize(
+        "g,words",
+        [
+            (_sample("dyck.cfg"), ["lr", "llrr", "lrlr", "llrlrr", "lrrl", "rl"]),
+            (_sample("anbn.cfg"), ["ab", "aabb", "aaabbb", "aab", "abab", "ba"]),
+        ]
+        + [
+            (to_gnf(_random_cfg(random.Random(seed))), ["a", "ab", "ba", "abab", "bbaab"])
+            for seed in range(5)
+        ],
+        ids=["dyck", "anbn"] + [f"random-{seed}" for seed in range(5)],
+    )
+    def test_gnf_budget_is_rules_per_position(self, g, words):
+        # a step per (position, rule whose body starts with its symbol)
+        decider = CfgDecider(g, "gnf")
+        for w in words:
+            steps = sum(p.rhs[0] == sym for sym in w for p in g.productions)
+            assert _least_budget(decider, w) == steps, w
+            with pytest.raises(StepLimitExceeded):
+                decider(w, max_steps=steps - 1)
+
+
 class TestCykScale:
     """Bit-vector CYK on S -> A B | A S B: three binary rules once the long
     body is binarized, one budget step per (span of width >= 2, rule)."""
