@@ -34,7 +34,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
     CalculusConfig,
@@ -93,28 +93,34 @@ def _strip_comment(line: str) -> str:
     return line if i < 0 else line[:i]
 
 
-def parse_grammar_file(text: str) -> Cfg:
-    start = None
-    nonterminals = None
-    terminals = None
-    productions = []
-    lhs_order = []
+def _body_lines(text: str, found: dict, single: str, noun: str, lists: tuple) -> Iterator:
+    """Yield (line number, line) for each nonblank line of ``text`` that is
+    not a directive, in file order, with its comment and trailing blanks
+    cut.  A directive is a line whose text before the first ':' is a
+    directive name; its value goes into ``found`` as the line is read, the
+    ``single`` directive's as its one ``noun``, each of ``lists`` as a list.
+    A line is read only when the caller asks for the next one, so a fault
+    on a body line is reported before any later line is read."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("start:"):
-            fields = line[len("start:"):].split()
+        line = _strip_comment(raw).rstrip()
+        name, colon, value = line.strip().partition(":")
+        if colon and name == single:
+            fields = value.split()
             if len(fields) != 1:
-                raise ParseError("start: takes exactly one symbol", lineno)
-            start = fields[0]
-            continue
-        if line.startswith("nonterminals:"):
-            nonterminals = line[len("nonterminals:"):].split()
-            continue
-        if line.startswith("terminals:"):
-            terminals = line[len("terminals:"):].split()
-            continue
+                raise ParseError(f"{single}: takes exactly one {noun}", lineno)
+            found[single] = fields[0]
+        elif colon and name in lists:
+            found[name] = value.split()
+        elif line:
+            yield lineno, line
+
+
+def parse_grammar_file(text: str) -> Cfg:
+    found: dict = {}
+    productions = []
+    lhs_order: dict = {}
+    body = _body_lines(text, found, "start", "symbol", ("nonterminals", "terminals"))
+    for lineno, line in body:
         if "->" not in line:
             raise ParseError("expected a directive or a rule with '->'", lineno)
         lhs_text, _, rhs_text = line.partition("->")
@@ -124,55 +130,35 @@ def parse_grammar_file(text: str) -> Cfg:
                 "left-hand side must be a single nonterminal", lineno
             )
         lhs = lhs_fields[0]
-        if lhs not in lhs_order:
-            lhs_order.append(lhs)
+        lhs_order[lhs] = None
         for alt in rhs_text.split("|"):
             rhs = tuple(alt.split())
             if not rhs:
                 raise ParseError("empty right-hand side", lineno)
             productions.append(Production(lhs, rhs))
-    if terminals is None:
+    if "terminals" not in found:
         raise ParseError("missing terminals: directive")
     if not productions:
         raise ParseError("grammar has no rules")
-    if nonterminals is None:
-        nonterminals = lhs_order
-    if start is None:
-        start = productions[0].lhs
+    nonterminals = found.get("nonterminals", lhs_order)
+    start = found.get("start", productions[0].lhs)
     try:
-        return Cfg(tuple(nonterminals), tuple(terminals), start, tuple(productions))
+        return Cfg(tuple(nonterminals), tuple(found["terminals"]), start, tuple(productions))
     except GrammarError as e:
         raise ParseError(str(e)) from e
 
 
 def parse_lexicon_file(text: str) -> LambekGrammar:
-    target = None
-    primitives = None
+    found: dict = {}
     entries: dict = {}
-    order = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped.startswith("target:"):
-            fields = stripped[len("target:"):].split()
-            if len(fields) != 1:
-                raise ParseError("target: takes exactly one primitive", lineno)
-            target = fields[0]
-            continue
-        if stripped.startswith("primitives:"):
-            primitives = stripped[len("primitives:"):].split()
-            continue
-        if ":" not in stripped:
+    for lineno, line in _body_lines(text, found, "target", "primitive", ("primitives",)):
+        if ":" not in line:
             raise ParseError("expected a directive or an entry with ':'", lineno)
         sym_text, _, types_text = line.partition(":")
         sym = sym_text.strip()
         if not sym or len(sym.split()) != 1:
             raise ParseError("entry needs a single symbol before ':'", lineno)
         types = entries.setdefault(sym, [])
-        if sym not in order:
-            order.append(sym)
         col = line.index(":") + 2  # 1-based column of the first char past ':'
         for chunk in types_text.split(","):
             body = chunk.strip()
@@ -182,25 +168,18 @@ def parse_lexicon_file(text: str) -> LambekGrammar:
             elif types_text.strip():
                 raise ParseError("empty type in entry", lineno, col)
             col += len(chunk) + 1
-    if target is None:
+    if "target" not in found:
         raise ParseError("missing target: directive")
-    if primitives is None:
-        seen = [target]
-        for sym in order:
-            for t in entries[sym]:
-                for name in _primitive_names(t):
-                    if name not in seen:
-                        seen.append(name)
-        primitives = seen
-    lexicon = {sym: tuple(entries[sym]) for sym in order}
+    target = found["target"]
+    primitives = found.get("primitives")
+    if primitives is None:  # the target, then the others in order of first use
+        subtypes = (u for ts in entries.values() for t in ts for u in subtypes_in_order(t))
+        primitives = dict.fromkeys([target, *(u.name for u in subtypes if type(u) is Primitive)])
+    lexicon = {sym: tuple(types) for sym, types in entries.items()}
     try:
-        return LambekGrammar(tuple(primitives), tuple(order), target, lexicon)
+        return LambekGrammar(tuple(primitives), tuple(entries), target, lexicon)
     except GrammarError as e:
         raise ParseError(str(e)) from e
-
-
-def _primitive_names(t) -> list:
-    return [u.name for u in subtypes_in_order(t) if type(u) is Primitive]
 
 
 def format_grammar(g: Cfg) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -286,14 +287,15 @@ class LambekDecider:
     target's column-0 mask, with no witness read; a regular one also to an
     NFA over int bitmasks (``compile_nfa``) that decides it, determinised
     per call and walked by ``functools.reduce``; and a linear one is walked
-    by ``LinearChart``.  A call keeps nothing once it returns.
-    "recognizer" and "prove" enumerate type assignments one by one and
-    hand each to the fragment recognizer or the prover.  All three
-    agree; the slower routes keep each other honest in tests.  A budget
-    step is a (position, kept spine decomposition) of the sweep, charged a
-    column at a time, a span the linear walk expands or a position the NFA
-    reads before the last, and elsewhere a type assignment tried or a
-    search node expanded.
+    by ``LinearChart``.  "recognizer" and "prove" enumerate type
+    assignments one by one and hand each to the fragment recognizer or the
+    prover; the search route builds one ``ProofEngine`` per call, shared
+    by that call's assignments.  A call keeps nothing once it returns.
+    All three agree; the slower routes keep each other honest in tests.
+    A budget step is a (position, kept spine decomposition) of the sweep,
+    charged a column at a time, a span the linear walk expands or a
+    position the NFA reads before the last, and elsewhere a type
+    assignment tried or a search node expanded.
     ``find_proof`` decides and derives in one call.
     """
 
@@ -309,7 +311,6 @@ class LambekDecider:
         if method not in ("auto", "recognizer", "prove"):
             raise ValueError(f"unknown method {method!r}")
         self.method = method
-        self._engine = ProofEngine()
         restriction = self.config.type_restriction
         for t in lg.all_types():
             if not in_fragment(t, restriction):
@@ -349,7 +350,7 @@ class LambekDecider:
                 return bool(found.ends[0][0] >> len(word) & 1)
             return found.reduce(0, len(word), target)
         if self.method != "recognizer":
-            return self._first(word, budget, self._proof) is not None
+            return self._first(word, budget, partial(self._proof, ProofEngine())) is not None
         if self._recognize is None:
             raise FragmentError("no recognizer covers this lexicon/configuration; use prove")
         return self._first(word, budget, lambda seq, _: self._recognize(seq, target)) is not None
@@ -363,7 +364,7 @@ class LambekDecider:
         word = _checked_word(w, self._symbols)
         budget = _Budget(max_steps)
         if self._fragment is None:
-            return self._first(word, budget, self._proof)
+            return self._first(word, budget, partial(self._proof, ProofEngine()))
         target = self.grammar.target
         chart, tables = self._chart
         found = chart(word, tables, budget)
@@ -379,10 +380,11 @@ class LambekDecider:
                 return found
         return None
 
-    def _proof(self, assignment: tuple, budget: _Budget) -> Optional[Proof]:
-        # the search runs on what is left of the budget, then pays for it
+    def _proof(self, engine: ProofEngine, assignment: tuple, budget: _Budget) -> Optional[Proof]:
+        # the search runs on what is left of the budget, then pays for it;
+        # the engine is the call's own, so its memo goes with the call
         seq = Sequent(assignment, self.grammar.target)
-        result = self._engine.prove(seq, self.config, max_steps=budget.left)
+        result = engine.prove(seq, self.config, max_steps=budget.left)
         budget.spend(result.stats.nodes_expanded)
         return result.proof
 

@@ -14,15 +14,16 @@ for symbol a is the GNF rule head -> a args, so ``SpineChart`` decides the
 slash fragment by a right-to-left sweep over end-position bitmasks, the
 lexicon compiled once by ``compile_spines`` to heads interned as ints
 and rules grouped by argument tuple, which a column folds once each.
-``LinearChart`` decides the linear fragment, word or sequence, by a
-goal-directed walk with its own stack.  For degree-one /-only types
-``nfa_member`` decides in one left-to-right pass over an automaton
-``compile_nfa`` builds once as int bitmasks, a state being the mask of
-primitives still wanted: each call determinises it as far as the word
-takes it, and ``functools.reduce`` walks the states in C, entering Python
-only for a move not yet computed.  Each chart keeps nothing after its
-query, and records how a span reduced, not only whether, so ``_derive``
-reads the /L and \\L steps straight off it.
+``LinearChart`` decides the linear fragment, word or sequence (and so the
+regular fragment's sequences), by a goal-directed walk with its own stack.
+For a word over degree-one /-only types ``nfa_member`` decides in one
+left-to-right pass over an automaton ``compile_nfa`` builds once as int
+bitmasks, a state being the mask of primitives still wanted: each call
+determinises it as far as the word takes it, and ``functools.reduce``
+walks the states in C, entering Python only for a move not yet
+computed.  Each chart keeps nothing after its query, and records how a
+span reduced, not only whether, so ``_derive`` reads the /L and \\L
+steps straight off it.
 """
 
 from __future__ import annotations
@@ -297,10 +298,9 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
     """The regular fragment's automaton, as ints: each primitive name gets
     a bit, a state is a mask of the primitives the rest of the word may have
     to produce, and p/q where p is wanted leaves q wanted.  Returns the
-    start mask (the target's bit) and, per key of ``lexicon`` (a symbol, or
-    for a type sequence the type itself), its (result bit, argument bit)
-    moves and the mask of primitives it offers outright.  ``nfa_member``
-    determinises it per call."""
+    start mask (the target's bit) and, per symbol of ``lexicon``, its
+    (result bit, argument bit) moves and the mask of primitives it offers
+    outright.  ``nfa_member`` determinises it per call."""
     bits: dict = {}
 
     def bit(p: Primitive) -> int:
@@ -350,7 +350,7 @@ class _State(dict):
         return state
 
 
-def nfa_member(word: Sequence, nfa: tuple, budget: Optional[_Budget] = None) -> bool:
+def nfa_member(word: Sequence, nfa: tuple, budget: _Budget) -> bool:
     """Decide reducibility for degree-one /-only candidates in one pass over
     ``compile_nfa``'s automaton, determinised as the run reaches its states
     and walked by ``functools.reduce``: a Python frame per move computed,
@@ -360,7 +360,7 @@ def nfa_member(word: Sequence, nfa: tuple, budget: Optional[_Budget] = None) -> 
     there an overrun."""
     start, moves, finals = nfa
     read = len(word) - 1
-    if budget is not None and budget.left is not None:
+    if budget.left is not None:
         read = max(0, min(read, budget.left))
     try:
         state = functools.reduce(getitem, islice(word, read), _State(start, moves, {}))
@@ -473,8 +473,8 @@ def reduce_linear(seq: Sequence[LambekType], target: LambekType) -> bool:
 def reduce_regular(seq: Sequence[LambekType], target: LambekType) -> bool:
     """Decide reducibility for degree-one /-only types to a primitive target.
 
-    One left-to-right pass suffices: track the primitive the remaining
-    suffix must produce (a finite-state run over the primitives).
+    The regular fragment is the linear fragment with no \\ type, so the
+    linear walk decides it, independently of the NFA that decides words.
     """
     seq = _query(seq, target, REGULAR_FRAGMENT, "is not a degree-one /-only type")
-    return nfa_member(seq, compile_nfa({t: (t,) for t in seq}, target))
+    return reduce_linear(seq, target)

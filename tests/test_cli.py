@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambekit import (
     Backslash,
@@ -80,6 +84,10 @@ class TestParseGrammarFile:
             ("terminals: a\njunk\n", "expected"),
             ("start: S T\nterminals: a\nS -> a\n", "one symbol"),
             ("terminals: a\nstart: T\nS -> a\n", "start"),
+            # the earlier of two faults, whatever line the other is on
+            ("terminals: a\njunk\nstart: S T\n", "line 2: expected"),
+            # a directive's name runs up to its ':', so this is a body line
+            ("terminals: a\nstart : S\nS -> a\n", "expected a directive or a rule"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -142,12 +150,17 @@ class TestParseLexiconFile:
             ("target: S\na b : S\n", "single symbol"),
             ("target: S\na : S,,S\n", "empty type"),
             ("target: S\nprimitives: S\na : S/B\n", "undeclared"),
+            ("target: S\nnonsense\ntarget: S T\n", "line 2: expected"),
         ],
     )
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as e:
             parse_lexicon_file(text)
         assert fragment in str(e.value)
+
+    def test_directive_look_alike_is_an_entry(self):
+        lg = parse_lexicon_file("target: S\ntargets: S\n")
+        assert lg.lexicon["targets"] == (S,)
 
     def test_round_trip(self):
         for lg in (
@@ -592,6 +605,33 @@ class TestBadCounts:
         _, grammar, _ = files
         code, _, err = run(capsys, "decide", grammar, "ab", "--budget", "0")
         assert code == 3 and "budget" in err
+
+
+_FILE_TOKENS = [
+    "start:", "nonterminals:", "terminals:", "target:", "primitives:",
+    "S", "B", "a", "b", " ", "->", "|", ":", ",", "/", "\\", "(", ")", "#", "\n",
+]
+
+
+class TestAnyFileContents:
+    """Whatever a file holds, each command ends in a verdict or a
+    documented exit code, never in an exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_FILE_TOKENS), max_size=60).map("".join))
+    def test_exit_code_is_documented(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "input")
+            Path(path).write_text(text)
+            for argv in (
+                ["classify", path],
+                ["decide", path, "ab"],
+                ["convert", path, "--to", "lambek"],
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), (argv, text)
 
 
 def _run_main(tmp_path, *argv):

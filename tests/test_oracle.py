@@ -478,6 +478,18 @@ class TestWordChartScale:
         assert vars(decider) == shallow
         assert pickle.dumps(vars(decider)) == deep
 
+    @pytest.mark.parametrize(
+        "config,method", [(None, "prove"), (FULL_CALCULUS, "auto")], ids=["prove", "full"]
+    )
+    def test_search_route_keeps_no_memo(self, config, method):
+        # the search route's engine, memo and all, goes with the call
+        decider = LambekDecider(ANBN_LEX, config, method)
+        deep = pickle.dumps(vars(decider))
+        for w in enumerate_strings(("a", "b"), 6):
+            decider(w)
+            decider.find_proof(w)
+        assert pickle.dumps(vars(decider)) == deep
+
 
 ANBN_LEX = cfg_to_lambek(to_gnf(corpus.anbn()))
 
