@@ -708,7 +708,7 @@ class LambekGrammar:
                     raise GrammarError(f"lexicon entry for {sym!r} is not a type: {t!r}")
             ordered = sorted(set(types), key=type_sort_key)
             for t in ordered:
-                for u in subtypes(t):
+                for u in subtypes_in_order(t):
                     if isinstance(u, Primitive) and u.name not in prim_set:
                         raise GrammarError(
                             f"type {format_type(t)} for {sym!r} uses undeclared primitive {u.name!r}"

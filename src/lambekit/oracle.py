@@ -1,14 +1,15 @@
 """Ground-truth membership deciders and the exhaustive cross-check harness.
 
 Two independent routes exist for everything at desk scale: grammars are
-decided by a right-to-left sweep over a GNF grammar's terminal-first rules
+decided by ``recognizer.sweep`` over a GNF grammar's terminal-first rules
 or by bit-vector CYK, each ``CfgDecider`` compiling its route's tables
-once to int-numbered nonterminals, so a call does int operations only
-(the sweep's columns are lists indexed by those ints, and the rules
-sharing a terminal and a tail fold it once per column); lexicons by the
-word charts and NFA of ``recognizer``, whose tables each
+once to int-numbered nonterminals, so a call does int operations only;
+lexicons by the same sweep over their spine decompositions or by the
+linear chart and NFA of ``recognizer``, whose tables each
 ``LambekDecider`` compiles once and whose per-word state goes with the
-call, or by raw proof search over every type assignment.  A lexicon's
+call, or by raw proof search over every type assignment.  The sweep has
+two table builders, ``_gnf_tables`` here for grammars and
+``compile_spines`` for lexicons; CYK shares no code with it.  A lexicon's
 derivations come from the same routes: read off the chart that decided
 membership, or found by the search.  ``crosscheck`` walks all strings up
 to a length bound and reports the first point where two deciders part
@@ -48,10 +49,12 @@ from .recognizer import (
     _derive,
     compile_nfa,
     compile_spines,
+    group_rules,
     nfa_member,
     reduce_linear,
     reduce_regular,
     reduce_slash,
+    sweep,
 )
 from .transform import remove_unit_productions
 
@@ -84,58 +87,21 @@ def enumerate_strings(alphabet: Iterable[str], max_len: int) -> Iterator[tuple]:
 
 
 def _gnf_tables(g: Cfg) -> tuple:
-    """The GNF sweep's tables, every nonterminal interned to an int, the
-    start as 0: per terminal, its rule count and its rules grouped by tail,
-    as (first tail id or None, rest of the tail's ids, head ids)."""
+    """The sweep's tables, every nonterminal interned to an int, the start
+    as 0: each terminal's rules by ``group_rules``, and the id count."""
     ids: dict = {g.start: 0}
-    tails: dict = {a: {} for a in g.terminals}
+    rules: dict = {a: [] for a in g.terminals}
     for p in g.productions:
         tail = tuple(ids.setdefault(sym, len(ids)) for sym in p.rhs[1:])
-        tails[p.rhs[0]].setdefault(tail, []).append(ids.setdefault(p.lhs, len(ids)))
-    rules = {
-        a: (
-            sum(map(len, groups.values())),
-            tuple(
-                (tail[0] if tail else None, tail[1:], tuple(heads))
-                for tail, heads in groups.items()
-            ),
-        )
-        for a, groups in tails.items()
-    }
-    return rules, len(ids)
+        rules[p.rhs[0]].append((ids.setdefault(p.lhs, len(ids)), tail))
+    return group_rules(rules), len(ids)
 
 
 def _gnf_member(tables: tuple, w: tuple, budget: _Budget) -> bool:
-    """Right-to-left sweep: ends[i][A] is a bitmask of the end positions e
-    with A =>* w[i:e], a column being a list indexed by ``_gnf_tables``'s
-    ids.  A GNF rule consumes its terminal first, so column i is built
-    from later columns only: each distinct tail of w[i]'s rules is folded
-    once, its first symbol's ends read straight off column i + 1, and the
-    result ORed into every head sharing it.  The budget is charged once
-    per column, a step per (position, rule)."""
+    """The ``sweep`` verdict: head 0 (the start, or a lexicon's target)
+    derives all of w."""
     rules, size = tables
-    n = len(w)
-    ends: list = [None] * n + [[0] * size]
-    for i in range(n - 1, -1, -1):
-        count, groups = rules[w[i]]
-        budget.spend(count)
-        col = [0] * size
-        nxt = ends[i + 1]
-        for first, rest, heads in groups:
-            reach = 1 << (i + 1) if first is None else nxt[first]
-            for sym in rest:
-                # every end of sym from every position the prefix reaches
-                step = 0
-                while reach:
-                    low = reach & -reach
-                    step |= ends[low.bit_length() - 1][sym]
-                    reach ^= low
-                reach = step
-            if reach:
-                for head in heads:
-                    col[head] |= reach
-        ends[i] = col
-    return bool(ends[0][0] >> n & 1)
+    return bool(sweep(w, rules, size, budget)[0][0] >> len(w) & 1)
 
 
 def _cnf_tables(g: Cfg) -> tuple:
@@ -224,9 +190,10 @@ class CfgDecider:
 
     The route ("gnf" or "cyk", in ``method``) is chosen and its tables are
     built once, here, over nonterminals interned to ints (the start as 0).
-    For the sweep, GNF rules by their terminal, grouped by tail
-    (``_gnf_tables``): a column folds each distinct tail once and charges
-    the budget once, a step per (position, rule).  For CYK, unit-free
+    For the GNF route, ``_gnf_tables`` groups the rules by terminal and
+    tail for ``recognizer.sweep``, the sweep a /-only lexicon runs on too:
+    a column folds each distinct tail once and charges the budget once, a
+    step per (position, rule).  For CYK, unit-free
     binarized rules, which a call runs as bitmask ANDs, one budget step
     per (span, binary rule).  A call only checks the word and runs the
     route.
@@ -282,9 +249,10 @@ class LambekDecider:
 
     method "auto" decides a word with lexicon choices folded in, and is
     "prove" outside the chart fragments: a /-only lexicon is compiled here
-    once to the GNF rules that ``SpineChart`` sweeps, each distinct
-    argument tuple folded once per column and the verdict read off the
-    target's column-0 mask, with no witness read; a regular one also to an
+    once by ``compile_spines`` to GNF rules, which ``recognizer.sweep``
+    decides as it does a grammar's for ``CfgDecider``, the verdict read
+    off the target's column-0 mask with no witness read (``SpineChart``
+    reads a proof off the same sweep); a regular one also to an
     NFA over int bitmasks (``compile_nfa``) that decides it, determinised
     per call and walked by ``functools.reduce``; and a linear one is walked
     by ``LinearChart``.  "recognizer" and "prove" enumerate type
@@ -326,15 +294,17 @@ class LambekDecider:
                 if fragment.enabled_rules <= rules and _lexicon_in(lg, fragment):
                     self._fragment, self._recognize = fragment, recognize
                     break
-        # the chart class a word runs on, with its tables; a regular
-        # lexicon is decided by its NFA and derived by the sweep
-        self._nfa = self._chart = None
+        # the chart class a proof is read off, with its tables, and the
+        # sweep's tables, which decide a /-only word; a regular lexicon is
+        # decided by its NFA and derived by the sweep
+        self._nfa = self._sweep = self._chart = None
         if self._fragment is REGULAR_FRAGMENT:
             self._nfa = compile_nfa(lg.lexicon, lg.target)
         if self._fragment is LINEAR_FRAGMENT:
             self._chart = (LinearChart, lg.lexicon)
         elif self._fragment is not None:
-            self._chart = (SpineChart, compile_spines(lg.lexicon, lg.target))
+            spines = compile_spines(lg.lexicon, lg.target)
+            self._chart, self._sweep = (SpineChart, spines), spines[2]
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self._symbols)
@@ -343,12 +313,10 @@ class LambekDecider:
         if self.method == "auto" and self._fragment is not None:
             if self._nfa is not None:
                 return nfa_member(word, self._nfa, budget)
+            if self._sweep is not None:
+                return _gnf_member(self._sweep, word, budget)
             chart, tables = self._chart
-            found = chart(word, tables, budget)
-            if chart is SpineChart:
-                # the target is head 0; no witness is read
-                return bool(found.ends[0][0] >> len(word) & 1)
-            return found.reduce(0, len(word), target)
+            return chart(word, tables, budget).reduce(0, len(word), target)
         if self.method != "recognizer":
             return self._first(word, budget, partial(self._proof, ProofEngine())) is not None
         if self._recognize is None:

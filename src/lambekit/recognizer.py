@@ -10,10 +10,13 @@ is A\\target and the front reduces to A (the linear fragment).
 
 ``ReductionTable`` charts a type sequence in the slash fragment, memoized
 top-down.  Over a word, each spine decomposition (head, args) of a type
-for symbol a is the GNF rule head -> a args, so ``SpineChart`` decides the
-slash fragment by a right-to-left sweep over end-position bitmasks, the
-lexicon compiled once by ``compile_spines`` to heads interned as ints
-and rules grouped by argument tuple, which a column folds once each.
+for symbol a is the GNF rule head -> a args, so one ``sweep`` decides both
+a GNF grammar and a /-only lexicon: right to left over end-position
+bitmasks, on rules interned to ints and grouped by tail by
+``group_rules``, each tail folded once per column.  Its two table
+builders are ``compile_spines`` here, for a lexicon, and ``oracle``'s
+``_gnf_tables``, for a grammar; ``SpineChart`` reads a lexicon word's
+witness off the sweep's columns.
 ``LinearChart`` decides the linear fragment, word or sequence (and so the
 regular fragment's sequences), by a goal-directed walk with its own stack.
 For a word over degree-one /-only types ``nfa_member`` decides in one
@@ -120,7 +123,7 @@ class ReductionTable:
 
 
 # --------------------------------------------------------------------------
-# words over a lexicon
+# words over GNF rules
 
 
 def compile_spines(lexicon, target: LambekType) -> tuple:
@@ -130,9 +133,8 @@ def compile_spines(lexicon, target: LambekType) -> tuple:
     fixpoint.  Returns the wanted heads interned to ints (the target as 0);
     per symbol, its kept rules as (type, head, args, argument ids), in
     lexicon order, then spine order, which the witness readers walk; and
-    per symbol, for the sweep, its kept-rule count and its kept rules
-    grouped by argument ids, as (first argument id or None, the rest's
-    ids, head ids)."""
+    the sweep's tables: the kept rules by ``group_rules``, and the id
+    count."""
     rules = {
         sym: [(t, head, args) for t in types for head, args in spine_decompositions(t)]
         for sym, types in lexicon.items()
@@ -154,19 +156,65 @@ def compile_spines(lexicon, target: LambekType) -> tuple:
         )
         for sym, decompositions in rules.items()
     }
-    sweep = {}
-    for sym, spines in kept.items():
+    gnf = {
+        sym: [(ids[head], arg_ids) for _, head, _, arg_ids in spines]
+        for sym, spines in kept.items()
+    }
+    return ids, kept, (group_rules(gnf), len(ids))
+
+
+def group_rules(rules: dict) -> dict:
+    """GNF rules ``{symbol: [(head id, tail ids), ...]}`` as ``sweep``
+    reads them: per symbol, its rule count and its rules grouped by tail,
+    as (first tail id or None, the rest's ids, head ids)."""
+    grouped = {}
+    for sym, pairs in rules.items():
         groups: dict = {}
-        for _, head, _, arg_ids in spines:
-            groups.setdefault(arg_ids, []).append(ids[head])
-        sweep[sym] = (
-            len(spines),
+        for head, tail in pairs:
+            groups.setdefault(tail, []).append(head)
+        grouped[sym] = (
+            len(pairs),
             tuple(
-                (arg_ids[0] if arg_ids else None, arg_ids[1:], tuple(heads))
-                for arg_ids, heads in groups.items()
+                (tail[0] if tail else None, tail[1:], tuple(heads))
+                for tail, heads in groups.items()
             ),
         )
-    return ids, kept, sweep
+    return grouped
+
+
+def sweep(word: Sequence, rules: dict, size: int, budget: _Budget) -> list:
+    """GNF membership as a right-to-left sweep over bitmask columns, as in
+    bit-vector CYK (Graham, Harrison & Ruzzo 1980), on ``group_rules``'s
+    rules over ``size`` ids.  ``ends[i][h]`` is a bitmask of the ends e
+    with word[i:e] derivable from head h, so the word derives from head 0
+    when ``ends[0][0]`` has bit n.  A rule consumes its symbol first, so
+    column i is built from later columns only: each distinct tail of
+    word[i]'s rules is folded once, its first id's ends read straight off
+    column i + 1, and the result ORed into every head sharing it.  The
+    budget is charged once per column, a step per (position, rule)."""
+    n = len(word)
+    ends: list = [None] * n + [[0] * size]
+    for i in range(n - 1, -1, -1):
+        count, groups = rules[word[i]]
+        budget.spend(count)
+        col = [0] * size
+        nxt = ends[i + 1]
+        for first, rest, heads in groups:
+            reach = 1 << (i + 1) if first is None else nxt[first]
+            for a in rest:
+                # every end of a from every position the prefix reaches,
+                # inlined: a _fold call per group slows the grammar route
+                step = 0
+                while reach:
+                    low = reach & -reach
+                    step |= ends[low.bit_length() - 1][a]
+                    reach ^= low
+                reach = step
+            if reach:
+                for head in heads:
+                    col[head] |= reach
+        ends[i] = col
+    return ends
 
 
 def _fold(ends: list, reach: int, args: Sequence[int]) -> int:
@@ -183,40 +231,19 @@ def _fold(ends: list, reach: int, args: Sequence[int]) -> int:
 
 
 class SpineChart:
-    """A word in the slash fragment, decided by a right-to-left sweep over
-    ``compile_spines``'s rules, with bitmask columns as in bit-vector CYK
-    (Graham, Harrison & Ruzzo 1980).
-
-    ``ends[i][h]`` is a bitmask of the ends e with word[i:e] reducing to
-    head h, so the word reduces to the target when ``ends[0][0]`` has bit
-    n.  A rule consumes its symbol first, so column i is built from later
-    columns only: each distinct argument tuple of word[i]'s kept rules is
-    folded once, its first argument's ends read straight off column
-    i + 1, and the result ORed into every head sharing it.  The budget is
-    charged once per column, a step per kept rule.  ``reduce`` and
-    ``_split`` read the witness off the masks in ``ReductionTable``'s
-    shape and order: the first kept rule whose fold reaches j, and the
-    least end of a first chunk from which the rest folds to j.
+    """The witness reader over one word's ``sweep`` of ``compile_spines``'s
+    rules, for ``_derive``.  ``reduce`` and ``_split`` read the witness off
+    the ``ends`` masks in ``ReductionTable``'s shape and order: the first
+    kept rule whose fold reaches j, and the least end of a first chunk
+    from which the rest folds to j.
     """
 
     def __init__(self, word: tuple, spines: tuple, budget: _Budget):
-        self._ids, self._kept, sweep = spines
+        self._ids, self._kept, (rules, size) = spines
         self.types = word
         self.memo: dict = {}
         self._splits: dict = {}
-        n, size = len(word), len(self._ids)
-        self.ends = ends = [None] * n + [[0] * size]
-        for i in range(n - 1, -1, -1):
-            count, groups = sweep[word[i]]
-            budget.spend(count)
-            col = [0] * size
-            nxt = ends[i + 1]
-            for first, rest, heads in groups:
-                reach = 1 << (i + 1) if first is None else _fold(ends, nxt[first], rest)
-                if reach:
-                    for head in heads:
-                        col[head] |= reach
-            ends[i] = col
+        self.ends = sweep(word, rules, size, budget)
 
     def reduce(self, i: int, j: int, target: LambekType) -> bool:
         key = (i, j, target)

@@ -50,8 +50,10 @@ def test_criterion_1_grammar_to_lexicon_equivalence(name):
     build, _ = corpus.LANGUAGES[name]
     g = build()
     lg = cfg_to_lambek(to_gnf(g))
+    # CYK as the reference: it shares no code with the GNF-rule sweep that
+    # decides the lexicon (and would decide g, which is GNF already)
     report = crosscheck(
-        CfgDecider(g), LambekDecider(lg), g.terminals, 10, exhaustive=True
+        CfgDecider(g, "cyk"), LambekDecider(lg), g.terminals, 10, exhaustive=True
     )
     assert report.agreed, report
     _report(
@@ -69,8 +71,9 @@ def test_criterion_2_lexicon_to_grammar_equivalence(name):
     build, _ = corpus.LANGUAGES[name]
     g = build()
     back = lambek_to_cfg(cfg_to_lambek(to_gnf(g)))
+    # CYK as the reference, independent of the sweep that decides back
     report = crosscheck(
-        CfgDecider(g), CfgDecider(back), g.terminals, 10, exhaustive=True
+        CfgDecider(g, "cyk"), CfgDecider(back), g.terminals, 10, exhaustive=True
     )
     assert report.agreed, report
     _report(

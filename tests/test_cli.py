@@ -158,6 +158,17 @@ class TestParseLexiconFile:
             parse_lexicon_file(text)
         assert fragment in str(e.value)
 
+    def test_undeclared_primitive_message_ignores_the_hash_seed(self, tmp_path):
+        # the first undeclared primitive in the type's pre-order, not in a
+        # set's iteration order
+        lex = tmp_path / "bad.lex"
+        lex.write_text("target: S\nprimitives: S\nb : B/S/A\n")
+        errors = {
+            _run_main(tmp_path, "classify", str(lex), PYTHONHASHSEED=str(seed)).stderr
+            for seed in range(1, 7)
+        }
+        assert errors == {"error: type B/S/A for 'b' uses undeclared primitive 'B'\n"}
+
     def test_directive_look_alike_is_an_entry(self):
         lg = parse_lexicon_file("target: S\ntargets: S\n")
         assert lg.lexicon["targets"] == (S,)
@@ -634,9 +645,9 @@ class TestAnyFileContents:
                 assert code in (0, 1, 2, 3), (argv, text)
 
 
-def _run_main(tmp_path, *argv):
+def _run_main(tmp_path, *argv, **environ):
     # a fresh interpreter, so the recursion limit is met at its usual depth
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -209,7 +209,8 @@ class TestCykAgainstDerivations:
 
 
 class TestGnfSweepsAgainstDerivations:
-    """Both GNF-rule sweeps, the grammar's and its lexicon's, against
+    """The one GNF-rule sweep through both of its table builders, the
+    grammar's rules and its lexicon's spine decompositions, against
     ``derivations`` on the GNF form of each random grammar."""
 
     GRAMMARS = 200
@@ -257,6 +258,17 @@ class TestGnfSweepsAgainstDerivations:
             assert _least_budget(decider, w) == steps, w
             with pytest.raises(StepLimitExceeded):
                 decider(w, max_steps=steps - 1)
+
+    def test_a_symbol_with_no_rule_costs_nothing(self):
+        # c has no rule on either route (C is no wanted head), so its column
+        # is free: acb and cbb cost a step for each of their other symbols
+        grammar = parse_grammar_file("terminals: a b c\nS -> a B B\nB -> b\n")
+        lexicon = parse_lexicon_file("target: S\na : S/B/B\nb : B\nc : C\n")
+        for decider in (CfgDecider(grammar, "gnf"), LambekDecider(lexicon)):
+            for w, steps, member in (("acb", 2, False), ("cbb", 2, False), ("abb", 3, True)):
+                assert decider(w, max_steps=steps) is member, w
+                with pytest.raises(StepLimitExceeded):
+                    decider(w, max_steps=steps - 1)
 
 
 class TestCykScale:
