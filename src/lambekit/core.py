@@ -63,6 +63,8 @@ class LambekType:
     Instances are immutable, compare structurally, and are safe to use as
     map keys.  Degree (connective count) and hash are computed once at
     construction so deep types stay cheap to compare and memoize.
+    ``_kids`` holds a binary type's two children in surface (left-to-right)
+    order, and is empty for a primitive.
 
     ``_pol`` is the type's signed primitive count under fixed primitive
     weights: a primitive weighs ``_weight(name)``, A/B and B\\A weigh
@@ -72,7 +74,7 @@ class LambekType:
     refutes a sequent without search.
     """
 
-    __slots__ = ("_hash", "degree", "_conn", "_pol")
+    __slots__ = ("_hash", "degree", "_conn", "_pol", "_kids")
 
     degree: int
 
@@ -116,6 +118,7 @@ class Primitive(LambekType):
                 f"bad primitive type name {name!r}: expected letters, digits, _ or '"
             )
         self.name = name
+        self._kids = ()
         self.degree = 0
         self._conn = 0
         self._pol = _weight(name)
@@ -135,6 +138,7 @@ class Slash(LambekType):
     def __init__(self, result: LambekType, arg: LambekType):
         self.result = result
         self.arg = arg
+        self._kids = (result, arg)
         self.degree = 1 + result.degree + arg.degree
         self._conn = _C_SLASH | result._conn | arg._conn
         self._pol = result._pol - arg._pol
@@ -161,6 +165,7 @@ class Backslash(LambekType):
     def __init__(self, arg: LambekType, result: LambekType):
         self.arg = arg
         self.result = result
+        self._kids = (arg, result)
         self.degree = 1 + arg.degree + result.degree
         self._conn = _C_BACK | arg._conn | result._conn
         self._pol = result._pol - arg._pol
@@ -187,6 +192,7 @@ class Product(LambekType):
     def __init__(self, left: LambekType, right: LambekType):
         self.left = left
         self.right = right
+        self._kids = (left, right)
         self.degree = 1 + left.degree + right.degree
         self._conn = _C_PROD | left._conn | right._conn
         self._pol = left._pol + right._pol
@@ -237,12 +243,7 @@ def _subtype_walk(t: LambekType) -> tuple:
         seen.add(u)
         out.append(u)
         # children pushed last-first, so the first is visited next
-        if isinstance(u, Slash):
-            stack += (u.arg, u.result)
-        elif isinstance(u, Backslash):
-            stack += (u.result, u.arg)
-        elif isinstance(u, Product):
-            stack += (u.right, u.left)
+        stack += u._kids[::-1]
     return out, seen
 
 
@@ -273,13 +274,10 @@ def reassemble_spine(head: LambekType, args: Sequence[LambekType]) -> LambekType
 
 def type_sort_key(t: LambekType):
     """A total order on types; used for canonical lexicon ordering."""
-    if isinstance(t, Primitive):
+    if type(t) is Primitive:
         return (0, t.name)
-    if isinstance(t, Slash):
-        return (1, type_sort_key(t.result), type_sort_key(t.arg))
-    if isinstance(t, Backslash):
-        return (2, type_sort_key(t.arg), type_sort_key(t.result))
-    return (3, type_sort_key(t.left), type_sort_key(t.right))
+    left, right = t._kids
+    return (_CONNECTIVES[type(t)][1], type_sort_key(left), type_sort_key(right))
 
 
 # --------------------------------------------------------------------------
@@ -288,52 +286,37 @@ def type_sort_key(t: LambekType):
 # surface syntax: / is left-associative, \ is right-associative, * binds
 # tighter than either slash; mixing / and \ without parentheses is an error
 # on the way in, so the printer always parenthesizes across the two.
+#
+# Per connective: its symbol, its rank in type_sort_key, and the kinds of
+# type that print bare as its left and as its right child; any other child
+# is parenthesized.
+_CONNECTIVES = {
+    Slash: ("/", 1, (Primitive, Slash, Product), (Primitive, Product)),
+    Backslash: ("\\", 2, (Primitive, Product), (Primitive, Backslash, Product)),
+    Product: ("*", 3, (Primitive, Product), (Primitive,)),
+}
 
 
 def format_type(t: LambekType) -> str:
     """Render t with the minimal parentheses the surface syntax needs."""
-    if isinstance(t, Primitive):
+    if type(t) is Primitive:
         return t.name
-    if isinstance(t, Slash):
-        left = _fmt(t.result, slash_side="left")
-        right = _fmt(t.arg, slash_side="right")
-        return f"{left}/{right}"
-    if isinstance(t, Backslash):
-        left = _fmt(t.arg, back_side="left")
-        right = _fmt(t.result, back_side="right")
-        return f"{left}\\{right}"
-    return f"{_fmt_product_child(t.left, tail=False)}*{_fmt_product_child(t.right, tail=True)}"
-
-
-def _fmt(t: LambekType, slash_side: str = "", back_side: str = "") -> str:
-    s = format_type(t)
-    if isinstance(t, (Primitive, Product)):
-        return s  # products bind tighter, never need parens under a slash
-    if isinstance(t, Slash):
-        # a / chain regroups on the left; anywhere else it needs parens
-        return s if slash_side == "left" else f"({s})"
-    # Backslash: regroups on the right of another backslash only
-    return s if back_side == "right" else f"({s})"
-
-
-def _fmt_product_child(t: LambekType, tail: bool) -> str:
-    s = format_type(t)
-    if isinstance(t, Primitive):
-        return s
-    if isinstance(t, Product):
-        return s if not tail else f"({s})"  # * chains regroup on the left
-    return f"({s})"
+    symbol, _, bare_left, bare_right = _CONNECTIVES[type(t)]
+    left, right = t._kids
+    ls, rs = format_type(left), format_type(right)
+    if type(left) not in bare_left:
+        ls = f"({ls})"
+    if type(right) not in bare_right:
+        rs = f"({rs})"
+    return f"{ls}{symbol}{rs}"
 
 
 def type_name(t: LambekType) -> str:
     """Fully parenthesized rendering; injective, used to name nonterminals."""
-    if isinstance(t, Primitive):
+    if type(t) is Primitive:
         return t.name
-    if isinstance(t, Slash):
-        return f"({type_name(t.result)}/{type_name(t.arg)})"
-    if isinstance(t, Backslash):
-        return f"({type_name(t.arg)}\\{type_name(t.result)})"
-    return f"({type_name(t.left)}*{type_name(t.right)})"
+    left, right = t._kids
+    return f"({type_name(left)}{_CONNECTIVES[type(t)][0]}{type_name(right)})"
 
 
 # --------------------------------------------------------------------------
@@ -440,16 +423,24 @@ class Proof:
         return all(node.rule is not Rule.CUT for _, node in self.nodes())
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Proof
-            and other._hash == self._hash
-            and other.rule is self.rule
-            and other.position == self.position
-            and other.conclusion == self.conclusion
-            and other.premises == self.premises
-        )
+        # node pairs come from a list, as in nodes(): a proof as tall as the
+        # word needs no frame per level
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if not (
+                type(b) is Proof
+                and b._hash == a._hash
+                and b.rule is a.rule
+                and b.position == a.position
+                and len(b.premises) == len(a.premises)
+                and b.conclusion == a.conclusion
+            ):
+                return False
+            pairs += zip(a.premises, b.premises)
+        return True
 
     def __hash__(self) -> int:
         return self._hash

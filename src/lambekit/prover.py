@@ -270,6 +270,9 @@ def _arity(rule: Rule) -> int:
     return 2
 
 
+_SPLICE_RULES = frozenset({Rule.CUT, Rule.SLASH_L, Rule.BACK_L})
+
+
 def _check_node(node: Proof, config: CalculusConfig, path, out) -> None:
     rule = node.rule
     conclusion = node.conclusion
@@ -307,73 +310,42 @@ def _check_node(node: Proof, config: CalculusConfig, path, out) -> None:
         return
 
     pos = node.position
-    if rule is Rule.CUT:
-        major, minor = node.premises
-        if pos is None or not (0 <= pos < len(major.conclusion.antecedent)):
-            out.append(Violation(path, "cut node lacks a valid position"))
-            return
+    if rule in _SPLICE_RULES:
+        # the minor premise's antecedent goes into the major's at pos, around
+        # the active type the rule builds (none for cut)
+        if rule is Rule.CUT:
+            major, minor = node.premises
+        else:
+            minor, major = node.premises
         mant = major.conclusion.antecedent
-        if mant[pos] != minor.conclusion.consequent:
+        if pos is None or not (0 <= pos < len(mant)):
+            out.append(Violation(path, f"{rule.value} node lacks a valid position"))
+            return
+        arg = minor.conclusion.consequent
+        spliced = minor.conclusion.antecedent
+        if rule is Rule.SLASH_L:
+            spliced = (Slash(mant[pos], arg),) + spliced
+        elif rule is Rule.BACK_L:
+            spliced += (Backslash(arg, mant[pos]),)
+        elif mant[pos] != arg:  # cut
             out.append(Violation(path, "cut formula does not match the minor premise"))
             return
-        expected = Sequent(
-            mant[:pos] + minor.conclusion.antecedent + mant[pos + 1 :],
-            major.conclusion.consequent,
-        )
-        if conclusion != expected:
-            out.append(Violation(path, f"cut conclusion should be {expected}"))
-        return
-
-    if rule is Rule.SLASH_L:
-        minor, major = node.premises
-        mant = major.conclusion.antecedent
-        if pos is None or not (0 <= pos < len(mant)):
-            out.append(Violation(path, f"{rule.value} node lacks a valid position"))
-            return
-        active = Slash(mant[pos], minor.conclusion.consequent)
-        expected = Sequent(
-            mant[:pos] + (active,) + minor.conclusion.antecedent + mant[pos + 1 :],
-            major.conclusion.consequent,
-        )
+        expected = Sequent(mant[:pos] + spliced + mant[pos + 1 :], major.conclusion.consequent)
         if conclusion != expected:
             out.append(Violation(path, f"{rule.value} conclusion should be {expected}"))
         return
 
-    if rule is Rule.BACK_L:
-        minor, major = node.premises
-        mant = major.conclusion.antecedent
-        if pos is None or not (0 <= pos < len(mant)):
-            out.append(Violation(path, f"{rule.value} node lacks a valid position"))
-            return
-        active = Backslash(minor.conclusion.consequent, mant[pos])
-        expected = Sequent(
-            mant[:pos] + minor.conclusion.antecedent + (active,) + mant[pos + 1 :],
-            major.conclusion.consequent,
-        )
-        if conclusion != expected:
-            out.append(Violation(path, f"{rule.value} conclusion should be {expected}"))
-        return
-
-    if rule is Rule.SLASH_R:
+    if rule in (Rule.SLASH_R, Rule.BACK_R):
         (premise,) = node.premises
         goal = conclusion.consequent
-        if type(goal) is not Slash:
-            out.append(Violation(path, "(/R) conclusion consequent is not a /"))
+        slash = rule is Rule.SLASH_R
+        if type(goal) is not (Slash if slash else Backslash):
+            out.append(Violation(path, f"({rule.value}) conclusion consequent is not a {rule.value[0]}"))
             return
-        expected = Sequent(ant + (goal.arg,), goal.result)
+        arg = (goal.arg,)
+        expected = Sequent(ant + arg if slash else arg + ant, goal.result)
         if premise.conclusion != expected:
-            out.append(Violation(path, f"(/R) premise should be {expected}"))
-        return
-
-    if rule is Rule.BACK_R:
-        (premise,) = node.premises
-        goal = conclusion.consequent
-        if type(goal) is not Backslash:
-            out.append(Violation(path, "(\\R) conclusion consequent is not a \\"))
-            return
-        expected = Sequent((goal.arg,) + ant, goal.result)
-        if premise.conclusion != expected:
-            out.append(Violation(path, f"(\\R) premise should be {expected}"))
+            out.append(Violation(path, f"({rule.value}) premise should be {expected}"))
         return
 
     if rule is Rule.PROD_L:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,13 @@ from lambekit import (
     Cfg,
     FragmentError,
     GrammarError,
+    LambekDecider,
     LambekGrammar,
+    ParseError,
     Primitive,
     Product,
     Production,
+    Proof,
     Rule,
     Sequent,
     Slash,
@@ -20,6 +25,8 @@ from lambekit import (
     degree,
     format_type,
     in_fragment,
+    parse_lexicon_file,
+    parse_type,
     reassemble_spine,
     spine_decompositions,
     subtypes,
@@ -31,6 +38,7 @@ from lambekit import (
 import corpus
 
 S, B, A, C = Primitive("S"), Primitive("B"), Primitive("A"), Primitive("C")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def prims():
@@ -148,6 +156,43 @@ class TestFormatting:
     def test_str_matches_format(self):
         assert str((S / B) / A) == format_type((S / B) / A)
 
+    def test_every_small_type_against_the_parser(self):
+        # all 2,318 types of degree <= 3 over {S, B}; the parser, not the
+        # printer's table, decides which parentheses are needed
+        by_degree = [[S, B]]
+        for d in range(1, 4):
+            by_degree.append(
+                [
+                    make(left, right)
+                    for make in (Slash, Backslash, Product)
+                    for dl in range(d)
+                    for left in by_degree[dl]
+                    for right in by_degree[d - 1 - dl]
+                ]
+            )
+        pool = [t for level in by_degree for t in level]
+        assert len(pool) == 2318
+        dropped = 0
+        for t in pool:
+            text = format_type(t)
+            assert parse_type(text) == t
+            opens = []
+            for i, ch in enumerate(text):
+                if ch == "(":
+                    opens.append(i)
+                elif ch == ")":
+                    j = opens.pop()
+                    bare = text[:j] + text[j + 1 : i] + text[i + 1 :]
+                    dropped += 1
+                    try:
+                        assert parse_type(bare) != t, f"{text} needs no parens at {j}"
+                    except ParseError:
+                        pass
+        assert dropped == 2728
+        assert len({type_name(t) for t in pool}) == len(pool)
+        keys = sorted(map(type_sort_key, pool))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
 
 class TestSequent:
     def test_basic(self):
@@ -164,6 +209,35 @@ class TestSequent:
 
     def test_empty_antecedent_is_representable(self):
         assert Sequent((), S).antecedent == ()
+
+
+class TestProof:
+    def _tall_proof(self):
+        lexicon = parse_lexicon_file((ROOT / "samples" / "anbn.lex").read_text())
+        return LambekDecider(lexicon).find_proof("a" * 400 + "b" * 400)
+
+    def test_tall_proofs_compare_without_recursion(self):
+        p, q = self._tall_proof(), self._tall_proof()
+        assert p is not q
+        assert p == q and hash(p) == hash(q)
+
+    def test_a_difference_deep_in_the_tree_is_found(self):
+        p = self._tall_proof()
+        spine = [p]
+        while spine[-1].premises:
+            kids = spine[-1].premises
+            spine.append(max(kids, key=lambda k: len(k.conclusion.antecedent)))
+        assert len(spine) > 400
+        # the two differ only in the leaf's position; as if every hash on the
+        # path collided, so only the walk down to the leaf can tell them apart
+        leaf = spine[-1]
+        q = Proof(leaf.conclusion, leaf.rule, leaf.premises, position=0)
+        q._hash = leaf._hash
+        for parent, node in zip(reversed(spine[:-1]), reversed(spine[1:])):
+            kids = tuple(q if k is node else k for k in parent.premises)
+            q = Proof(parent.conclusion, parent.rule, kids, parent.position)
+            q._hash = parent._hash
+        assert p != q and q != p
 
 
 class TestRestrictions:

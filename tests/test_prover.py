@@ -414,6 +414,18 @@ class TestValidate:
                 ["cut conclusion should be S -> S"], id="cut-conclusion",
             ),
             pytest.param(
+                "S -> S", Rule.CUT, "S B", 0,
+                ["cut formula does not match the minor premise"], id="cut-formula",
+            ),
+            pytest.param(
+                "S/B, B -> S", Rule.SLASH_L, "B S", None,
+                ["/L node lacks a valid position"], id="slash-l-position",
+            ),
+            pytest.param(
+                "B, S/B -> S", Rule.SLASH_L, "B S", 0,
+                ["/L conclusion should be S/B, B -> S"], id="slash-l-conclusion",
+            ),
+            pytest.param(
                 "B, B\\S -> S", Rule.BACK_L, "B S", None,
                 ["\\L node lacks a valid position"], id="back-l-position",
             ),
