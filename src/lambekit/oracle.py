@@ -47,6 +47,7 @@ from .recognizer import (
     LinearChart,
     SpineChart,
     _derive,
+    compile_linear,
     compile_nfa,
     compile_spines,
     group_rules,
@@ -61,9 +62,10 @@ from .transform import remove_unit_productions
 Word = Sequence[str]
 
 
-def _checked_word(w: Word, symbols: frozenset) -> tuple:
-    # a plain string is read as its characters; otherwise a symbol sequence
-    word = tuple(w)
+def _checked_word(w: Word, symbols: frozenset) -> Sequence[str]:
+    # a plain string is read as its characters, and kept as it is; any
+    # other symbol sequence becomes a tuple
+    word = w if isinstance(w, str) else tuple(w)
     if not word:
         raise GrammarError("the empty string is outside every language here")
     if not symbols.issuperset(word):
@@ -97,7 +99,7 @@ def _gnf_tables(g: Cfg) -> tuple:
     return group_rules(rules), len(ids)
 
 
-def _gnf_member(tables: tuple, w: tuple, budget: _Budget) -> bool:
+def _gnf_member(tables: tuple, w: Word, budget: _Budget) -> bool:
     """The ``sweep`` verdict: head 0 (the start, or a lexicon's target)
     derives all of w."""
     rules, size = tables
@@ -143,7 +145,7 @@ def _cnf_tables(g: Cfg) -> tuple:
     return heads, tuple(rules), len(ids)
 
 
-def _cyk_member(tables: tuple, w: tuple, budget: _Budget) -> bool:
+def _cyk_member(tables: tuple, w: Word, budget: _Budget) -> bool:
     """Bit-vector CYK (Graham, Harrison & Ruzzo 1980), spans by width.
     ends[i][X] is a bitmask of the positions j with X =>* w[i:j], and
     starts[j][X] one of the positions i; span (i, j) gets A when
@@ -252,14 +254,16 @@ class LambekDecider:
     once by ``compile_spines`` to GNF rules, which ``recognizer.sweep``
     decides as it does a grammar's for ``CfgDecider``, the verdict read
     off the target's column-0 mask with no witness read (``SpineChart``
-    reads a proof off the same sweep); a regular one also to an
-    NFA over int bitmasks (``compile_nfa``) that decides it, determinised
-    per call and walked by ``functools.reduce``; and a linear one is walked
-    by ``LinearChart``.  "recognizer" and "prove" enumerate type
-    assignments one by one and hand each to the fragment recognizer or the
-    prover; the search route builds one ``ProofEngine`` per call, shared
-    by that call's assignments.  A call keeps nothing once it returns.
-    All three agree; the slower routes keep each other honest in tests.
+    reads a proof off the same sweep); a regular one instead to an NFA
+    over int bitmasks (``compile_nfa``) that decides it, determinised per
+    call into plain dicts, its spines compiled only when ``find_proof``
+    asks for a proof; and a linear one to ``compile_linear``'s int tries,
+    which ``LinearChart`` walks to decide and derive alike.  "recognizer"
+    and "prove" enumerate type assignments one by one and hand each to the
+    fragment recognizer or the prover; the search route builds one
+    ``ProofEngine`` per call, shared by that call's assignments.  A call
+    keeps nothing once it returns.  All three agree; the slower routes
+    keep each other honest in tests.
     A budget step is a (position, kept spine decomposition) of the sweep,
     charged a column at a time, a span the linear walk expands or a
     position the NFA reads before the last, and elsewhere a type
@@ -296,12 +300,12 @@ class LambekDecider:
                     break
         # the chart class a proof is read off, with its tables, and the
         # sweep's tables, which decide a /-only word; a regular lexicon is
-        # decided by its NFA and derived by the sweep
+        # decided by its NFA and derived by a sweep compiled per proof
         self._nfa = self._sweep = self._chart = None
         if self._fragment is REGULAR_FRAGMENT:
             self._nfa = compile_nfa(lg.lexicon, lg.target)
-        if self._fragment is LINEAR_FRAGMENT:
-            self._chart = (LinearChart, lg.lexicon)
+        elif self._fragment is LINEAR_FRAGMENT:
+            self._chart = (LinearChart, compile_linear(lg.lexicon, lg.target))
         elif self._fragment is not None:
             spines = compile_spines(lg.lexicon, lg.target)
             self._chart, self._sweep = (SpineChart, spines), spines[2]
@@ -327,18 +331,21 @@ class LambekDecider:
         """A derivation of a type assignment of the word to the target, or
         None for a non-member; ``max_steps`` as in ``__call__``.  In a chart
         fragment it is read off the chart that decided membership (for a
-        regular lexicon, the sweep, which decides it too), elsewhere found
-        by search."""
+        regular lexicon, a sweep compiled for the call, which decides it
+        too), elsewhere found by search."""
         word = _checked_word(w, self._symbols)
         budget = _Budget(max_steps)
         if self._fragment is None:
             return self._first(word, budget, partial(self._proof, ProofEngine()))
         target = self.grammar.target
-        chart, tables = self._chart
+        if self._chart is None:  # a regular lexicon: the sweep derives
+            chart, tables = SpineChart, compile_spines(self.grammar.lexicon, target)
+        else:
+            chart, tables = self._chart
         found = chart(word, tables, budget)
         return _derive(found, target) if found.reduce(0, len(word), target) else None
 
-    def _first(self, word: tuple, budget: _Budget, holds: Callable):
+    def _first(self, word: Word, budget: _Budget, holds: Callable):
         """What ``holds(assignment, budget)`` finds for the first type
         assignment of the word, in canonical order; one step per try."""
         for assignment in itertools.product(*(self.grammar.lexicon[s] for s in word)):

@@ -18,22 +18,21 @@ builders are ``compile_spines`` here, for a lexicon, and ``oracle``'s
 ``_gnf_tables``, for a grammar; ``SpineChart`` reads a lexicon word's
 witness off the sweep's columns.
 ``LinearChart`` decides the linear fragment, word or sequence (and so the
-regular fragment's sequences), by a goal-directed walk with its own stack.
-For a word over degree-one /-only types ``nfa_member`` decides in one
-left-to-right pass over an automaton ``compile_nfa`` builds once as int
-bitmasks, a state being the mask of primitives still wanted: each call
-determinises it as far as the word takes it, and ``functools.reduce``
-walks the states in C, entering Python only for a move not yet
-computed.  Each chart keeps nothing after its query, and records how a
-span reduced, not only whether, so ``_derive`` reads the /L and \\L
-steps straight off it.
+regular fragment's sequences), by a goal-directed walk with its own stack
+over int-interned tries that ``compile_linear`` builds once.  For a word
+over degree-one /-only types ``nfa_member`` decides in one left-to-right
+pass over an automaton ``compile_nfa`` builds once as int bitmasks, a
+state being the mask of primitives still wanted: each call determinises
+it as far as the word takes it, into plain dicts from symbol to next
+state, so a move already computed costs one dict subscript.  Each chart
+keeps nothing after its query, and records how a span reduced, not only
+whether, so ``_derive`` reads the /L and \\L steps straight off it: every
+chart gives a span's ``witness``, and the slash charts a split's end.
 """
 
 from __future__ import annotations
 
-import functools
 from itertools import islice
-from operator import getitem
 from typing import Optional, Sequence
 
 from .core import (
@@ -55,7 +54,21 @@ from .core import (
 )
 
 
-class ReductionTable:
+class _TypeKeyedChart:
+    """``_derive``'s view of a chart whose memos are keyed by goal types:
+    ``witness`` gives how a span reduced, (functor, args) or False, and
+    ``split`` the end of the first chunk of a multi-argument split."""
+
+    def witness(self, i: int, j: int, goal: LambekType):
+        self.reduce(i, j, goal)
+        return self.memo[i, j, goal]
+
+    def split(self, i: int, j: int, args: tuple):
+        self._split(i, j, args)
+        return self._splits[i, j, args]
+
+
+class ReductionTable(_TypeKeyedChart):
     """Memoized slash-fragment chart over one type sequence.
 
     ``reduce(i, j, target)`` says whether types i..j-1 reduce to target by
@@ -230,7 +243,7 @@ def _fold(ends: list, reach: int, args: Sequence[int]) -> int:
     return reach
 
 
-class SpineChart:
+class SpineChart(_TypeKeyedChart):
     """The witness reader over one word's ``sweep`` of ``compile_spines``'s
     rules, for ``_derive``.  ``reduce`` and ``_split`` read the witness off
     the ``ends`` masks in ``ReductionTable``'s shape and order: the first
@@ -238,7 +251,7 @@ class SpineChart:
     from which the rest folds to j.
     """
 
-    def __init__(self, word: tuple, spines: tuple, budget: _Budget):
+    def __init__(self, word: Sequence, spines: tuple, budget: _Budget):
         self._ids, self._kept, (rules, size) = spines
         self.types = word
         self.memo: dict = {}
@@ -272,53 +285,88 @@ class SpineChart:
         return self._splits[key] is not False
 
 
+def compile_linear(lexicon, target: Primitive) -> tuple:
+    """A degree-one {/, \\} lexicon as the linear walk's tries, over
+    primitives interned to ints (the target as 0).  Returns the ids and,
+    per symbol, lists indexed by goal id: the witness of a width-one span,
+    (type, ()) for the first bare type equal to the goal, or False; the
+    first-position tries, (1, argument id, (type, (argument,))) for each
+    goal/A; and the last-position tries, (0, argument id, (type, None))
+    for each A\\goal.  Tries keep lexicon order, and a try's leading d
+    places the span it needs: (i + d, j + d - 1, argument id)."""
+    ids: dict = {target: 0}
+    for types in lexicon.values():
+        for t in types:
+            for p in (t,) if type(t) is Primitive else (t.result, t.arg):
+                ids.setdefault(p, len(ids))
+    units, first, last = {}, {}, {}
+    for sym, types in lexicon.items():
+        unit = [False] * len(ids)
+        fronts: list = [[] for _ in ids]
+        backs: list = [[] for _ in ids]
+        for t in types:
+            if type(t) is Slash:
+                fronts[ids[t.result]].append((1, ids[t.arg], (t, (t.arg,))))
+            elif type(t) is Backslash:
+                backs[ids[t.result]].append((0, ids[t.arg], (t, None)))
+            elif unit[ids[t]] is False:
+                unit[ids[t]] = (t, ())
+        units[sym] = unit
+        first[sym] = [tuple(tries) for tries in fronts]
+        last[sym] = [tuple(tries) for tries in backs]
+    return ids, units, first, last
+
+
 class LinearChart:
     """A word or sequence in the linear fragment, decided by a
-    goal-directed walk over (i, j, target).
+    goal-directed walk over (i, j, goal id) on ``compile_linear``'s tries.
 
-    A span tries, in lexicon order: its first position as the target
-    (width one) or as target/A before a span reducing to A, then its last
-    position as A\\target after one.  The walk keeps its own stack and
-    expands only the spans a try needs, one budget step each.  ``memo``
-    holds each decided span's witness: (functor, args) as in
-    ``ReductionTable``, (functor, None) for A\\target at the end, or False.
+    A span of width one holds when its symbol offers the goal bare; a
+    wider one tries, in lexicon order, its first position as goal/A before
+    a span reducing to A, then its last position as A\\goal after one.
+    The walk keeps its own stack and expands only the spans a try needs,
+    one budget step each.  ``memo`` maps each decided (i, j, goal id) to
+    its witness: (functor, args) as in ``ReductionTable``, (functor, None)
+    for A\\goal at the end, or False.
     """
 
-    def __init__(self, word: tuple, lexicon, budget: _Budget):
-        self.types, self._lexicon, self._budget = word, lexicon, budget
+    def __init__(self, word: Sequence, tables: tuple, budget: _Budget):
+        self.types, self._budget = word, budget
+        self._ids, self._units, self._first, self._last = tables
         self.memo: dict = {}
 
-    def _tries(self, i: int, j: int, target: LambekType):
-        # (functor, args, the span the try needs or None)
-        for t in self._lexicon[self.types[i]]:
-            if t == target and j - i == 1:
-                yield t, (), None
-            elif type(t) is Slash and t.result == target and j - i > 1:
-                yield t, (t.arg,), (i + 1, j, t.arg)
-        if j - i > 1:
-            for t in self._lexicon[self.types[j - 1]]:
-                if type(t) is Backslash and t.result == target:
-                    yield t, None, (i, j - 1, t.arg)
-
     def reduce(self, i: int, j: int, target: LambekType) -> bool:
-        memo, stack = self.memo, []
-        if (i, j, target) not in memo:
-            self._budget.spend()
-            stack.append((i, j, target))
+        return self.witness(i, j, target) is not False
+
+    def witness(self, i: int, j: int, goal: LambekType):
+        key = (i, j, self._ids[goal])
+        if key not in self.memo:
+            self._walk(key)
+        return self.memo[key]
+
+    def _walk(self, root: tuple) -> None:
+        word, memo, spend = self.types, self.memo, self._budget.spend
+        units, first, last = self._units, self._first, self._last
+        spend()
+        stack = [root]
         while stack:
             # spans only shrink, so a span the top needs is never below it
-            for functor, args, span in self._tries(*stack[-1]):
-                found = True if span is None else memo.get(span)
+            i, j, goal = stack[-1]
+            if j - i == 1:
+                memo[stack.pop()] = units[word[i]][goal]
+                continue
+            for d, arg, witness in first[word[i]][goal] + last[word[j - 1]][goal]:
+                span = (i + d, j + d - 1, arg)
+                found = memo.get(span)
                 if found is None:
-                    self._budget.spend()
+                    spend()
                     stack.append(span)
                     break
                 if found:
-                    memo[stack.pop()] = (functor, args)
+                    memo[stack.pop()] = witness
                     break
             else:
                 memo[stack.pop()] = False
-        return memo[i, j, target] is not False
 
 
 def compile_nfa(lexicon, target: Primitive) -> tuple:
@@ -327,7 +375,8 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
     to produce, and p/q where p is wanted leaves q wanted.  Returns the
     start mask (the target's bit) and, per symbol of ``lexicon``, its
     (result bit, argument bit) moves and the mask of primitives it offers
-    outright.  ``nfa_member`` determinises it per call."""
+    outright.  ``nfa_member`` determinises it per call, into plain dicts
+    that it walks one subscript per symbol."""
     bits: dict = {}
 
     def bit(p: Primitive) -> int:
@@ -347,55 +396,38 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
     return start, moves, finals
 
 
-class _Dead(Exception):
-    """A run that wants nothing: no suffix completes it."""
-
-
-class _State(dict):
-    """A mask of wanted primitives, as a subset-automaton state: it maps a
-    symbol to the next state, computing the move (Rabin & Scott 1959) the
-    first time a run reads it.  ``_states`` interns the masks of one run."""
-
-    __slots__ = ("want", "_moves", "_states")
-
-    def __init__(self, want: int, moves: dict, states: dict):
-        self.want, self._moves, self._states = want, moves, states
-        states[want] = self
-
-    def __missing__(self, sym):
-        nxt = 0
-        for result, arg in self._moves[sym]:
-            if self.want & result:
-                nxt |= arg
-        if not nxt:
-            # a mid-sequence primitive ends the spine with input left over
-            raise _Dead
-        state = self._states.get(nxt)
-        if state is None:
-            state = _State(nxt, self._moves, self._states)
-        self[sym] = state
-        return state
-
-
 def nfa_member(word: Sequence, nfa: tuple, budget: _Budget) -> bool:
     """Decide reducibility for degree-one /-only candidates in one pass over
     ``compile_nfa``'s automaton, determinised as the run reaches its states
-    and walked by ``functools.reduce``: a Python frame per move computed,
-    not per symbol.  The states go with the call.  One budget step per
-    position read before the last, so the walk stops after ``budget.left``
-    positions: a run that died within them is a verdict, one still alive
-    there an overrun."""
+    (Rabin & Scott 1959).  A state is a plain dict from symbol to next
+    state, holding its want mask under None, which no symbol is, so a move
+    already computed is one dict subscript and a missing one is computed
+    where the subscript fails.  The states go with the call.  One budget
+    step per position read before the last, so the walk stops after
+    ``budget.left`` positions: a run that died within them is a verdict,
+    one still alive there an overrun."""
     start, moves, finals = nfa
     read = len(word) - 1
     if budget.left is not None:
         read = max(0, min(read, budget.left))
-    try:
-        state = functools.reduce(getitem, islice(word, read), _State(start, moves, {}))
-    except _Dead:
-        return False
+    state = {None: start}
+    states = {start: state}  # one run's states, by want mask
+    for sym in islice(word, read):
+        try:
+            state = state[sym]
+        except KeyError:
+            want, nxt = state[None], 0
+            for result, arg in moves[sym]:
+                if want & result:
+                    nxt |= arg
+            if not nxt:
+                # a mid-sequence primitive ends the spine with input left over
+                return False
+            state[sym] = states.setdefault(nxt, {None: nxt})
+            state = state[sym]
     if read < len(word) - 1:
         budget.spend(len(word) - 1)  # alive where the budget ran out
-    return bool(state.want & finals[word[-1]])
+    return bool(state[None] & finals[word[-1]])
 
 
 def _query(
@@ -442,16 +474,16 @@ def reduce_slash_proof(
 
 def _derive(tbl, target: LambekType) -> Proof:
     """The derivation of all positions => target that a chart holding
-    ``reduce(0, n, target)`` witnesses, read off its memos (a
-    ``ReductionTable``, ``SpineChart`` or ``LinearChart``).  The walk keeps
+    ``reduce(0, n, target)`` witnesses, read through its ``witness`` and,
+    for a split over several arguments, ``split`` (a ``ReductionTable``,
+    ``SpineChart`` or ``LinearChart``, which never splits).  The walk keeps
     its own stack: a proof as tall as the word needs no frame per level."""
     order, todo = [], [(0, len(tbl.types), target)]
     while todo:  # pre-order, leftmost argument span next
         i, j, goal = todo.pop()
         # a SpineChart reads a span's witness off its masks only when
         # asked; the other charts recorded it while deciding
-        tbl.reduce(i, j, goal)
-        functor, args = tbl.memo[i, j, goal]
+        functor, args = tbl.witness(i, j, goal)
         if args is None:  # \L: the front reduces to A in A\goal
             functors, spans = [functor], [(i, j - 1, functor.arg)]
         else:  # /L once per argument, outermost first
@@ -459,8 +491,7 @@ def _derive(tbl, target: LambekType) -> Proof:
             for k in range(len(args)):
                 end = j
                 if k + 1 < len(args):
-                    tbl._split(m, j, args[k:])
-                    end = tbl._splits[m, j, args[k:]]
+                    end = tbl.split(m, j, args[k:])
                 functors.append(functor)
                 spans.append((m, end, args[k]))
                 functor, m = functor.result, end
@@ -493,8 +524,8 @@ def reduce_linear(seq: Sequence[LambekType], target: LambekType) -> bool:
     and the front reduces to A.
     """
     seq = _query(seq, target, LINEAR_FRAGMENT, "is not a degree-one {/, \\} type")
-    chart = LinearChart(seq, {t: (t,) for t in seq}, _Budget(None))
-    return chart.reduce(0, len(seq), target)
+    tables = compile_linear({t: (t,) for t in seq}, target)
+    return LinearChart(seq, tables, _Budget(None)).reduce(0, len(seq), target)
 
 
 def reduce_regular(seq: Sequence[LambekType], target: LambekType) -> bool:

@@ -27,6 +27,7 @@ from lambekit import (
     cfg_to_lambek,
     crosscheck,
     enumerate_strings,
+    format_proof,
     infer_config,
     lambek_member,
     lcfg_to_lambek,
@@ -822,3 +823,128 @@ class TestFindProof:
         proof = decider.find_proof("abab")
         rules = {node.rule.value for _, node in proof.nodes()}
         assert rules == {"/L", "axiom"}
+
+
+def _random_linear_cfg(rng):
+    """A random linear grammar in the shapes lcfg_to_lambek takes: A -> a B,
+    A -> B a and A -> a, over two or three nonterminals."""
+    nts = tuple(f"N{i}" for i in range(rng.randint(2, 3)))
+    bodies = {}
+    for _ in range(rng.randint(3, 7)):
+        sym, nt = rng.choice("ab"), rng.choice(nts)
+        body = rng.choice([(sym, nt), (nt, sym), (sym,)])
+        bodies[rng.choice(nts), body] = None
+    # some word at all, so most grammars have a language to decide
+    bodies[rng.choice(nts), (rng.choice("ab"),)] = None
+    prods = tuple(Production(lhs, body) for lhs, body in bodies)
+    return Cfg(nts, ("a", "b"), "N0", prods)
+
+
+class TestLinearWalk:
+    """The linear walk on its own: against a naive derivation oracle, at
+    exact budgets, and in its witness order."""
+
+    ANBAN = lcfg_to_lambek(_sample("anban.lcfg"))
+
+    @pytest.mark.parametrize("seed", range(0, 120, 10))
+    def test_random_linear_grammars_against_derivations(self, seed):
+        for rng in (random.Random(seed + k) for k in range(10)):
+            g = _random_linear_cfg(rng)
+            lg = lcfg_to_lambek(g)
+            decider = LambekDecider(lg)
+            if decider.config != LINEAR_FRAGMENT:
+                continue  # no \ type: the NFA decides it
+            language = bounded_language(g.productions, g.start, g.nonterminals, 7)
+            for w in enumerate_strings(g.terminals, 7):
+                member = w in language
+                assert decider(w) is member, (g, w)
+                proof = decider.find_proof(w)
+                assert (proof is not None) is member, (g, w)
+                if member:
+                    assert proof.conclusion.consequent == lg.target
+                    ant = proof.conclusion.antecedent
+                    assert all(t in lg.lexicon[sym] for t, sym in zip(ant, w)), (g, w)
+                    assert validate(proof, LINEAR_FRAGMENT) == [], (g, w)
+
+    def test_random_grammars_reach_the_linear_walk(self):
+        linear = sum(
+            LambekDecider(lcfg_to_lambek(_random_linear_cfg(random.Random(k)))).config
+            == LINEAR_FRAGMENT
+            for k in range(120)
+        )
+        assert linear >= 100
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_anban_budgets_are_exact(self, n):
+        # a step per span expanded: the member's spans peel one a from each
+        # end in turn, down to the b; a flipped last symbol is refused after
+        # the root and its first try; a^(n-1) b a^n peels to a dead end
+        decider = LambekDecider(self.ANBAN)
+        member = "a" * n + "b" + "a" * n
+        for word, verdict, steps in [
+            (member, True, 2 * n + 1),
+            (member[:-1] + "b", False, 2),
+            (member[1:], False, 2 * n - 1),
+        ]:
+            for run in (decider, decider.find_proof):
+                assert _least_budget(run, word) == steps, (run, word)
+            assert decider(word) is verdict
+            assert (decider.find_proof(word) is not None) is verdict
+
+    @pytest.mark.parametrize(
+        "b_types", [(B, Backslash(C, S)), (Backslash(C, S), B)], ids=["B-first", "backslash-first"]
+    )
+    def test_first_position_try_wins(self, b_types):
+        # "ab" derives by /L (a as S/B before B) and by \L (C before b as
+        # C\S); the first position is tried before the last, whatever the
+        # lexicon order within a symbol
+        lg = LambekGrammar(("S", "B", "C"), ("a", "b"), "S", {"a": (S / B, C), "b": b_types})
+        decider = LambekDecider(lg)
+        assert decider.config == LINEAR_FRAGMENT
+        proof = decider.find_proof("ab")
+        assert proof.conclusion == Sequent((S / B, B), S)
+        assert proof.rule.value == "/L"
+        assert validate(proof, LINEAR_FRAGMENT) == []
+        # with no /L derivation left, the \L one is found
+        lg = LambekGrammar(("S", "B", "C"), ("a", "b"), "S", {"a": (C,), "b": b_types})
+        proof = LambekDecider(lg).find_proof("ab")
+        assert proof.conclusion == Sequent((C, Backslash(C, S)), S)
+        assert proof.rule.value == "\\L"
+
+
+class TestStringWords:
+    """A plain string is decided as it is, with no copy; it must behave on
+    every route exactly as the tuple of its characters."""
+
+    LEXICON_ROUTES = [
+        pytest.param(LambekDecider(ANBN_LEX), id="lexicon-sweep"),
+        pytest.param(LambekDecider(lcfg_to_lambek(corpus.anban_linear())), id="linear"),
+        pytest.param(LambekDecider(reg_to_lambek(corpus.abplus())), id="nfa"),
+        pytest.param(LambekDecider(ANBN_LEX, FULL_CALCULUS), id="search"),
+        pytest.param(LambekDecider(ANBN_LEX, method="recognizer"), id="recognizer"),
+    ]
+
+    @pytest.mark.parametrize(
+        "decider",
+        [
+            pytest.param(CfgDecider(corpus.anbn(), "cyk"), id="cyk"),
+            pytest.param(CfgDecider(corpus.anbn(), "gnf"), id="gnf-sweep"),
+        ],
+    )
+    def test_grammar_routes(self, decider):
+        for w in enumerate_strings(("a", "b"), 6):
+            text = "".join(w)
+            assert decider(text) is decider(w), w
+            assert _least_budget(decider, text) == _least_budget(decider, w), w
+
+    @pytest.mark.parametrize("decider", LEXICON_ROUTES)
+    def test_lexicon_routes(self, decider):
+        for w in enumerate_strings(("a", "b"), 6):
+            text = "".join(w)
+            assert decider(text) is decider(w), w
+            for run in (decider, decider.find_proof):
+                assert _least_budget(run, text) == _least_budget(run, w), w
+            proof_text, proof_word = decider.find_proof(text), decider.find_proof(w)
+            assert (proof_text is None) is (proof_word is None), w
+            if proof_word is not None:
+                assert format_proof(proof_text) == format_proof(proof_word), w
