@@ -454,12 +454,11 @@ def _cmd_prove(args) -> int:
         "provable": result.provable,
         "nodes_expanded": result.stats.nodes_expanded,
     }
-    if result.provable:
-        payload["proof"] = proof_to_dict(result.proof)
+    text = "not provable\n"
+    if args.json:
+        payload["proof"] = proof_to_dict(result.proof) if result.provable else None
+    elif result.provable:
         text = format_proof(result.proof) + "\n"
-    else:
-        payload["proof"] = None
-        text = "not provable\n"
     _emit(args, payload, text)
     return 0 if result.provable else 1
 

@@ -4,6 +4,14 @@ The syntax: ``/`` is left-associative (``S/B/A`` is ``(S/B)/A``), ``\\`` is
 right-associative (``A\\B\\S`` is ``A\\(B\\S)``), and ``*`` binds tighter than
 either slash.  Chains that mix ``/`` and ``\\`` at the same level must be
 parenthesized.  ``·`` is accepted as an alias for ``*`` on input.
+
+Parsing is one scan of the whole text with one regex, then one
+operator-precedence loop over the tokens, shared by types, type lists and
+sequents.  The loop keeps an explicit stack with one frame per open
+parenthesis, so text of any nesting parses without Python recursion.  Each
+call builds one ``Primitive`` per distinct name, from a dict that lives as
+long as the call; token columns are worked out only when there is an error
+to report.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import re
 from typing import Optional
 
 from .core import (
+    _IDENT_RE,
     Backslash,
+    GrammarError,
     LambekitError,
     LambekType,
     Primitive,
@@ -20,7 +30,6 @@ from .core import (
     Proof,
     Sequent,
     Slash,
-    format_type,
 )
 
 
@@ -36,139 +45,130 @@ class ParseError(LambekitError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<ident>[A-Za-z0-9_']+)"
-    r"|(?P<op>[/\\*·])"
-    r"|(?P<lpar>\()"
-    r"|(?P<rpar>\))"
-    r"|(?P<comma>,)"
-)
+# one token per match: the arrow, a name, or any other single non-space
+# character (an operator, a parenthesis, a comma or a stray character)
+_SCAN = re.compile(r"->|[A-Za-z0-9_']+|\S")
+
+_TYPE, _LIST, _SEQUENT = range(3)
+# where a finished top-level type stands, per kind of text, for the error
+# about the token that may not follow it
+_AFTER = ("after type", "in type list", "after sequent")
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int, col: int):
-        self.line = line
-        self.items = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col + pos)
-            if m.lastgroup != "ws":
-                value = m.group()
-                if m.lastgroup == "op" and value == "·":
-                    value = "*"
-                self.items.append((m.lastgroup, value, col + pos))
-            pos = m.end()
-        self.items.append(("end", "", col + len(text)))
-        self.index = 0
-
-    def peek(self):
-        return self.items[self.index]
-
-    def next(self):
-        tok = self.items[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
-
-    def error(self, message: str, tok=None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, self.line, tok[2])
+def _fail(text: str, line: int, col: int, k: int, message: str):
+    """Raise ``message`` at token k (the end of the text when k is past the
+    last token), or at the first stray character if the text has one, as a
+    tokenizer that reads the whole text first would.  Token columns are
+    computed only here, on the error path."""
+    starts = []
+    for m in _SCAN.finditer(text):
+        tok = m.group()
+        if len(tok) == 1 and tok not in "()*/\\," and not _IDENT_RE.match(tok):
+            raise ParseError(f"unexpected character {tok!r}", line, col + m.start())
+        starts.append(m.start())
+    starts.append(len(text))
+    raise ParseError(message, line, col + starts[k])
 
 
-def _parse_atom(toks: _Tokens) -> LambekType:
-    kind, value, _ = toks.peek()
-    if kind == "ident":
-        toks.next()
-        return Primitive(value)
-    if kind == "lpar":
-        toks.next()
-        inner = _parse_type_expr(toks)
-        if toks.peek()[0] != "rpar":
-            raise toks.error("expected ')'")
-        toks.next()
-        return inner
-    raise toks.error(f"expected a type, found {value!r}" if value else "expected a type")
-
-
-def _parse_product(toks: _Tokens) -> LambekType:
-    t = _parse_atom(toks)
-    while toks.peek()[:2] == ("op", "*"):
-        toks.next()
-        t = Product(t, _parse_atom(toks))
-    return t
-
-
-def _parse_type_expr(toks: _Tokens) -> LambekType:
-    first = _parse_product(toks)
-    parts = [first]
-    ops = []
-    while toks.peek()[0] == "op" and toks.peek()[1] in ("/", "\\"):
-        op_tok = toks.next()
-        ops.append(op_tok)
-        parts.append(_parse_product(toks))
-    if not ops:
-        return first
-    symbols = {tok[1] for tok in ops}
-    if len(symbols) > 1:
-        offender = next(tok for tok in ops if tok[1] != ops[0][1])
-        raise ParseError(
-            "mixed / and \\ need parentheses", toks.line, offender[2]
-        )
-    if symbols == {"/"}:
-        t = parts[0]
-        for part in parts[1:]:
-            t = Slash(t, part)
-        return t
-    t = parts[-1]
-    for part in reversed(parts[:-1]):
-        t = Backslash(part, t)
-    return t
+def _parse(text: str, line: int, col: int, mode: int):
+    """Parse one type (_TYPE), a comma-separated list (_LIST) or a sequent
+    (_SEQUENT) in one operator-precedence loop over the scanned tokens.
+    An open parenthesis pushes the enclosing level's (parts, chain, mixed,
+    star) onto ``frames`` and its ')' pops it, so nesting costs no frame of
+    Python's stack.  ``parts`` are a level's products, ``chain`` the slash
+    that joins them, ``mixed`` the first token of the other slash (reported
+    once the chain ends), and ``star`` says a '*' waits for its right
+    operand."""
+    text = text.replace("·", "*")
+    toks = _SCAN.findall(text)
+    toks.append("")  # the end of the text
+    names = {}  # one Primitive per distinct name, for this call only
+    out, frames = [], []
+    parts, chain, mixed, star = [], None, None, False
+    arrow = mode != _SEQUENT  # no '->' is wanted, or it has been read
+    i = 0
+    if mode == _LIST and toks[0] == "":
+        return ()
+    if mode == _SEQUENT and toks[0] == "->":
+        arrow, i = True, 1
+    while True:
+        # an operand: a name, or '(' opening a level
+        tok = toks[i]
+        i += 1
+        if tok == "(":
+            frames.append((parts, chain, mixed, star))
+            parts, chain, mixed, star = [], None, None, False
+            continue
+        t = names.get(tok)
+        if t is None:
+            try:
+                t = names[tok] = Primitive(tok)
+            except GrammarError:
+                _fail(text, line, col, i - 1, f"expected a type, found {tok!r}" if tok else "expected a type")
+        while True:
+            # t joins its level; an operator after it wants the next operand,
+            # anything else ends the level's chain
+            if star:
+                parts[-1] = Product(parts[-1], t)
+            else:
+                parts.append(t)
+            tok = toks[i]
+            i += 1
+            if tok == "*":
+                star = True
+                break
+            if tok == "/" or tok == "\\":
+                star = False
+                if chain is None:
+                    chain = tok
+                elif tok != chain and mixed is None:
+                    mixed = i - 1
+                break
+            if mixed is not None:
+                _fail(text, line, col, mixed, "mixed / and \\ need parentheses")
+            if chain == "\\":
+                parts.reverse()  # A\B\S is A\(B\S): fold from the right
+            t = parts[0]
+            for u in parts[1:]:
+                t = Slash(t, u) if chain == "/" else Backslash(u, t)
+            if frames:
+                if tok != ")":
+                    _fail(text, line, col, i - 1, "expected ')'")
+                parts, chain, mixed, star = frames.pop()
+                continue
+            # a whole type: a separator starts the next one
+            if tok == "," and (mode == _LIST or not arrow):
+                out.append(t)
+            elif tok == "->" and not arrow:
+                out.append(t)
+                arrow = True
+            elif tok == "" and arrow:
+                if mode == _TYPE:
+                    return t
+                if mode == _LIST:
+                    out.append(t)
+                    return tuple(out)
+                return Sequent(out, t)
+            else:
+                _fail(text, line, col, i - 1, f"unexpected {tok!r} {_AFTER[mode]}" if arrow else "expected '->'")
+            parts, chain, mixed, star = [], None, None, False
+            break
 
 
 def parse_type(text: str, line: int = 1, col: int = 1) -> LambekType:
     """Parse a single type expression; line/col seed the diagnostics."""
-    toks = _Tokens(text, line, col)
-    t = _parse_type_expr(toks)
-    if toks.peek()[0] != "end":
-        raise toks.error(f"unexpected {toks.peek()[1]!r} after type")
-    return t
+    return _parse(text, line, col, _TYPE)
 
 
 def parse_type_list(text: str, line: int = 1, col: int = 1) -> tuple:
     """Parse a comma-separated list of types; the list may be empty."""
-    toks = _Tokens(text, line, col)
-    if toks.peek()[0] == "end":
-        return ()
-    out = [_parse_type_expr(toks)]
-    while toks.peek()[0] == "comma":
-        toks.next()
-        out.append(_parse_type_expr(toks))
-    if toks.peek()[0] != "end":
-        raise toks.error(f"unexpected {toks.peek()[1]!r} in type list")
-    return tuple(out)
+    return _parse(text, line, col, _LIST)
 
 
 def parse_sequent(text: str, line: int = 1, col: int = 1) -> Sequent:
     """Parse ``T1, ..., Tn -> T``.  The antecedent may be empty; provability
     queries will reject it, but it stays representable for diagnostics."""
-    toks = _Tokens(text, line, col)
-    antecedent = []
-    if toks.peek()[0] != "arrow":
-        antecedent.append(_parse_type_expr(toks))
-        while toks.peek()[0] == "comma":
-            toks.next()
-            antecedent.append(_parse_type_expr(toks))
-    if toks.peek()[0] != "arrow":
-        raise toks.error("expected '->'")
-    toks.next()
-    consequent = _parse_type_expr(toks)
-    if toks.peek()[0] != "end":
-        raise toks.error(f"unexpected {toks.peek()[1]!r} after sequent")
-    return Sequent(antecedent, consequent)
+    return _parse(text, line, col, _SEQUENT)
 
 
 def format_sequent(s: Sequent) -> str:
@@ -179,10 +179,12 @@ def format_proof(p: Proof) -> str:
     """Indented text rendering: one sequent per line, premises below their
     conclusion, rule labels in brackets.  The walk keeps its own stack: a
     proof as tall as the word needs no frame per level."""
+    # a rule's _value_ is its label, read without the call that Enum's
+    # value property makes
     lines, todo = [], [(p, "")]
     while todo:
         node, pad = todo.pop()
-        lines.append(f"{pad}{node.conclusion}   [{node.rule.value}]")
+        lines.append(f"{pad}{node.conclusion}   [{node.rule._value_}]")
         if node.premises:
             pad += "  "
             for q in node.premises[::-1]:
@@ -195,7 +197,7 @@ def proof_to_dict(p: Proof) -> dict:
     ``format_proof``."""
     root = {
         "sequent": str(p.conclusion),
-        "rule": p.rule.value,
+        "rule": p.rule._value_,
         "position": p.position,
         "premises": [],
     }
@@ -206,7 +208,7 @@ def proof_to_dict(p: Proof) -> dict:
             out.append(
                 {
                     "sequent": str(q.conclusion),
-                    "rule": q.rule.value,
+                    "rule": q.rule._value_,
                     "position": q.position,
                     "premises": [],
                 }

@@ -666,11 +666,21 @@ class TestRecursionLimit:
     verdict or exit 3, never in a traceback under the "no" code."""
 
     def test_deeply_nested_sequent(self, tmp_path):
-        n = 2000
+        # the parser keeps its own stack, so any nesting of parentheses parses
+        n = 10**4
         result = _run_main(tmp_path, "prove", "(" * n + "S" + ")" * n + " -> S")
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        assert result.stdout == "S -> S   [axiom]\n"
+
+    def test_search_deeper_than_the_recursion_limit(self, tmp_path):
+        # 600 slashes: the prover's recursion runs out, which exits 3
+        n = 600
+        result = _run_main(tmp_path, "prove", "S" + "/B" * n + ", B" * n + " -> S")
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error:") and result.stdout == ""
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
     def test_long_word_on_the_linear_chart(self, tmp_path):
         # 1,001 symbols: the linear walk keeps its own stack

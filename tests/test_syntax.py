@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given
 
+import proofgen
 from lambekit import (
     Backslash,
+    ProofEngine,
     ParseError,
     Primitive,
     Product,
@@ -18,6 +20,7 @@ from lambekit import (
     parse_type_list,
     proof_to_dict,
 )
+from lambekit.cli import parse_lexicon_file
 
 from test_core import types
 
@@ -105,6 +108,95 @@ class TestParseSequent:
         assert parse_type_list("") == ()
 
 
+# (parser, text, line/col seed, message, line, col), as the recursive-descent
+# parser that the stack-based one replaced reported them
+DIAGNOSTICS = [
+    (parse_type, "S/(B%A)", (), "unexpected character '%'", 1, 5),
+    (parse_type, "S/(B/A", (3, 10), "expected ')'", 3, 16),
+    (parse_type, "A\\S/(B", (), "expected ')'", 1, 7),
+    (parse_type, "S)", (), "unexpected ')' after type", 1, 2),
+    (parse_type, "S B", (), "unexpected 'B' after type", 1, 3),
+    (parse_type, "(S/B) C", (), "unexpected 'C' after type", 1, 7),
+    (parse_type, "S //B", (), "expected a type, found '/'", 1, 4),
+    (parse_type, "A\\S/B", (), "mixed / and \\ need parentheses", 1, 4),
+    (parse_type, "S\\B/A\\C", (3, 10), "mixed / and \\ need parentheses", 3, 13),
+    (parse_type, "A\\(S/B\\C)", (), "mixed / and \\ need parentheses", 1, 7),
+    (parse_type, "", (), "expected a type", 1, 1),
+    (parse_type, "·S", (), "expected a type, found '*'", 1, 1),
+    (parse_type, "S·", (3, 10), "expected a type", 3, 12),
+    (parse_type_list, "S,", (), "expected a type", 1, 3),
+    (parse_type_list, "S,,B", (), "expected a type, found ','", 1, 3),
+    (parse_type_list, "S, B ->", (), "unexpected '->' in type list", 1, 6),
+    (parse_type_list, "S, B)", (), "unexpected ')' in type list", 1, 5),
+    (parse_sequent, "S, -> B", (), "expected a type, found '->'", 1, 4),
+    (parse_sequent, "S -> B -> A", (), "unexpected '->' after sequent", 1, 8),
+    (parse_sequent, "S ->", (), "expected a type", 1, 5),
+    (parse_sequent, "->", (), "expected a type", 1, 3),
+    (parse_sequent, "", (3, 10), "expected a type", 3, 10),
+    (parse_sequent, "S -> B,", (), "unexpected ',' after sequent", 1, 7),
+    (parse_sequent, "S B -> S", (), "expected '->'", 1, 3),
+    (parse_sequent, "S B -> %", (), "unexpected character '%'", 1, 8),
+    (parse_sequent, "S·\\B -> S", (), "expected a type, found '\\\\'", 1, 3),
+    (parse_sequent, "S -> (B", (3, 10), "expected ')'", 3, 17),
+]
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("parse, text, seed, message, line, col", DIAGNOSTICS)
+    def test_message_line_and_col(self, parse, text, seed, message, line, col):
+        with pytest.raises(ParseError) as e:
+            parse(text, *seed)
+        assert (e.value.bare_message, e.value.line, e.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("a : S/B, B%A", "unexpected character '%'", 11),
+            ("a :  (S/B", "expected ')'", 10),
+            ("a : S,  A\\S/B", "mixed / and \\ need parentheses", 12),
+        ],
+    )
+    def test_lexicon_entry_seeds_the_column(self, text, message, col):
+        with pytest.raises(ParseError) as e:
+            parse_lexicon_file(f"target: S\n{text}\n")
+        assert (e.value.bare_message, e.value.line, e.value.col) == (message, 2, col)
+
+
+def _spine(t, step):
+    """The nodes along ``step`` from t, walked in a loop: deep types are
+    compared node by node, since ``==`` recurses."""
+    out = [t]
+    while type(out[-1]) is not Primitive:
+        out.append(step(out[-1]))
+    return out
+
+
+class TestDepth:
+    N = 10**4
+
+    def test_nested_parentheses(self):
+        assert parse_type("(" * self.N + "S" + ")" * self.N) == S
+
+    def test_right_nested_slashes(self):
+        # S/(B/(B/(...(B))))
+        t = parse_type("S" + "/(B" * self.N + ")" * self.N)
+        spine = _spine(t, lambda u: u.arg)
+        assert len(spine) == self.N + 1 and spine[-1] == B
+        assert all(type(u) is Slash for u in spine[:-1])
+        assert [u.result for u in spine[:-1]] == [S] + [B] * (self.N - 1)
+
+    def test_backslash_chain(self):
+        t = parse_type("B\\" * self.N + "S")
+        spine = _spine(t, lambda u: u.result)
+        assert len(spine) == self.N + 1 and spine[-1] == S
+        assert all(type(u) is Backslash and u.arg == B for u in spine[:-1])
+
+    def test_long_antecedent(self):
+        s = parse_sequent(", ".join(["S/B", "B"] * (self.N // 2)) + " -> S")
+        assert len(s.antecedent) == self.N and s.consequent == S
+        assert s.antecedent == (S / B, B) * (self.N // 2)
+
+
 class TestParseError:
     def test_carries_position(self):
         e = ParseError("boom", 4, 7)
@@ -136,3 +228,30 @@ class TestProofOutput:
         assert d["position"] == 0
         assert [p["rule"] for p in d["premises"]] == ["axiom", "axiom"]
         assert d["premises"][0]["premises"] == []
+
+
+class TestRenderersMatchSequentText:
+    """Every line the renderers print is ``str`` of its node's conclusion."""
+
+    def _proofs(self):
+        for allow_back in (False, True):
+            for forged, config in proofgen.generate(21, 40, allow_back):
+                yield forged
+                result = ProofEngine().prove(forged.conclusion, config)
+                assert result.provable
+                yield result.proof
+
+    def test_format_proof_and_proof_to_dict(self):
+        for proof in self._proofs():
+            nodes = [(len(path), node) for path, node in proof.nodes()]
+            lines = format_proof(proof).splitlines()
+            assert lines == [
+                f"{'  ' * depth}{node.conclusion}   [{node.rule.value}]"
+                for depth, node in nodes
+            ]
+            todo, seen = [proof_to_dict(proof)], []
+            while todo:
+                d = todo.pop()
+                seen.append(d["sequent"])
+                todo.extend(reversed(d["premises"]))
+            assert seen == [str(node.conclusion) for _, node in nodes]
