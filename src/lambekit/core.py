@@ -328,6 +328,9 @@ class Sequent:
 
     An empty antecedent is representable (so that proof checking can flag
     it) but is rejected by every provability query.
+
+    The hash is ``hash((antecedent, consequent))``, computed on first use
+    and kept: a query refuted by its count is never hashed.
     """
 
     __slots__ = ("antecedent", "consequent", "_hash")
@@ -335,24 +338,22 @@ class Sequent:
     def __init__(self, antecedent: Iterable[LambekType], consequent: LambekType):
         self.antecedent = tuple(antecedent)
         self.consequent = consequent
-        self._hash = hash((self.antecedent, consequent))
+        self._hash = None
 
     @property
     def connective_count(self) -> int:
         return sum(t.degree for t in self.antecedent) + self.consequent.degree
 
     def __eq__(self, other: object) -> bool:
-        return (
-            self is other
-            or (
-                type(other) is Sequent
-                and other._hash == self._hash
-                and other.consequent == self.consequent
-                and other.antecedent == self.antecedent
-            )
+        return self is other or (
+            type(other) is Sequent
+            and other.consequent == self.consequent
+            and other.antecedent == self.antecedent
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.antecedent, self.consequent))
         return self._hash
 
     def __str__(self) -> str:
@@ -480,9 +481,17 @@ class TypeRestriction:
 
 def in_fragment(t: LambekType, restriction: TypeRestriction) -> bool:
     """True when t uses only allowed connectives and respects the degree cap."""
-    if t._conn & ~restriction._mask:
-        return False
-    return restriction.max_degree is None or t.degree <= restriction.max_degree
+    return _outside((t,), restriction) is None
+
+
+def _outside(types: Iterable[LambekType], restriction: TypeRestriction):
+    """The first of ``types`` with a connective the restriction does not
+    allow or a degree past its cap, or None: a whole query in one loop."""
+    banned, cap = ~restriction._mask, restriction.max_degree
+    for t in types:
+        if t._conn & banned or (cap is not None and t.degree > cap):
+            return t
+    return None
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from .core import (
     Sequent,
     StepLimitExceeded,
     _Budget,
+    _outside,
     classify_cfg,
-    in_fragment,
     FULL_CALCULUS,
     LINEAR_FRAGMENT,
     REGULAR_FRAGMENT,
@@ -236,7 +236,7 @@ _FRAGMENTS = {
 
 
 def _lexicon_in(lg: LambekGrammar, fragment: CalculusConfig) -> bool:
-    return all(in_fragment(t, fragment.type_restriction) for t in lg.all_types())
+    return _outside(lg.all_types(), fragment.type_restriction) is None
 
 
 def infer_config(lg: LambekGrammar) -> CalculusConfig:
@@ -283,12 +283,9 @@ class LambekDecider:
         if method not in ("auto", "recognizer", "prove"):
             raise ValueError(f"unknown method {method!r}")
         self.method = method
-        restriction = self.config.type_restriction
-        for t in lg.all_types():
-            if not in_fragment(t, restriction):
-                raise FragmentError(
-                    f"lexicon type {t} falls outside the configured restriction"
-                )
+        bad = _outside(lg.all_types(), self.config.type_restriction)
+        if bad is not None:
+            raise FragmentError(f"lexicon type {bad} falls outside the configured restriction")
         # the chart is exact when the configuration's rules are the
         # fragment's left rules, or /L with \L idle for want of a \ type
         rules = self.config.enabled_rules

@@ -91,16 +91,20 @@ class ProofEngine:
         Running past the bound raises ``StepLimitExceeded``.  Only searches
         that finished are memoized, so the engine stays usable afterwards.
         """
-        if not sequent.antecedent:
+        ant, goal = sequent.antecedent, sequent.consequent
+        if not ant:
             raise FragmentError("provability query with empty antecedent")
         restriction = config.type_restriction
-        for t in (*sequent.antecedent, sequent.consequent):
-            if not in_fragment(t, restriction):
-                raise FragmentError(
-                    f"type {t} falls outside the configured restriction"
-                )
+        banned, cap = ~restriction._mask, restriction.max_degree
+        # the antecedent's weight plus the consequent's: twice the
+        # consequent's exactly when the count balances
+        weight = 0
+        for t in (*ant, goal):
+            if t._conn & banned or (cap is not None and t.degree > cap):
+                raise FragmentError(f"type {t} falls outside the configured restriction")
+            weight += t._pol
         stats = SearchStats()
-        if sum(t._pol for t in sequent.antecedent) != sequent.consequent._pol:
+        if weight != 2 * goal._pol:
             return SearchResult(False, None, stats)
         memo = self._memo.setdefault(config, {})
         search = _Search(memo, config.enabled_rules, stats, _Budget(max_steps))

@@ -46,7 +46,7 @@ from .core import (
     Sequent,
     Slash,
     _Budget,
-    in_fragment,
+    _outside,
     spine_decompositions,
     LINEAR_FRAGMENT,
     REGULAR_FRAGMENT,
@@ -76,6 +76,13 @@ class ReductionTable(_TypeKeyedChart):
     and keeps nothing after it; ``shared`` is accepted and ignored.  ``ops``
     counts chart expansions, which the tests use to bound the growth rate.
 
+    An expansion walks the result spine of the type at i in place, trying
+    its spine decompositions in ``spine_decompositions``' order, (t, ())
+    first and then one more argument per step, and stops before the
+    arguments would outnumber the rest of the span.  A head is matched by
+    identity, then by hash, and only then by ``==``; the arguments become
+    a tuple only when it matches.
+
     The memos are the witness ``_derive`` reads proofs off.  ``memo`` maps
     (i, j, target) to the first way found, (functor, args) when the type
     ``functor`` at i peels to target over ``args`` (() for an axiom), or
@@ -99,19 +106,24 @@ class ReductionTable(_TypeKeyedChart):
         # frame per position on degree-one chains
         value = False
         width = j - i
-        first = self.types[i]
-        for head, args in spine_decompositions(first):
-            if head != target or len(args) >= width:
-                continue
-            if not args:
-                found = width == 1
-            elif len(args) == 1:
-                found = self.reduce(i + 1, j, args[0])
-            else:
-                found = self._split(i + 1, j, args)
-            if found:
-                value = (first, args)
+        first = head = self.types[i]
+        spine: list = []  # the arguments peeled off so far, outermost first
+        while True:
+            if head is target or (head._hash == target._hash and head == target):
+                args = tuple(spine)
+                if not args:
+                    found = width == 1
+                elif len(args) == 1:
+                    found = self.reduce(i + 1, j, args[0])
+                else:
+                    found = self._split(i + 1, j, args)
+                if found:
+                    value = (first, args)
+                    break
+            if type(head) is not Slash or len(spine) + 1 >= width:
                 break
+            spine.append(head.arg)
+            head = head.result
         self.memo[key] = value
         return value is not False
 
@@ -439,14 +451,11 @@ def _query(
     restriction = fragment.type_restriction
     if not seq:
         raise FragmentError("reducibility query with empty sequence")
-    if restriction.max_degree is None:
-        if not in_fragment(target, restriction):
-            raise FragmentError(f"target {target} {shape}")
-    elif not isinstance(target, Primitive):
+    if restriction.max_degree is not None and not isinstance(target, Primitive):
         raise FragmentError(f"target must be primitive, got {target}")
-    for t in seq:
-        if not in_fragment(t, restriction):
-            raise FragmentError(f"type {t} {shape}")
+    bad = _outside((target, *seq), restriction)
+    if bad is not None:
+        raise FragmentError(f"{'target' if bad is target else 'type'} {bad} {shape}")
     return seq
 
 

@@ -210,8 +210,32 @@ class TestSequent:
     def test_empty_antecedent_is_representable(self):
         assert Sequent((), S).antecedent == ()
 
+    def test_hash_is_that_of_the_pair(self):
+        for ant, goal in [([S / B, B], S), ((), S), ((B >> S, S * A), C / A)]:
+            assert hash(Sequent(ant, goal)) == hash((tuple(ant), goal))
+
+    @pytest.mark.parametrize("hashed_first", [0, 1])
+    def test_sequents_built_apart_are_equal_whichever_is_hashed_first(self, hashed_first):
+        # the second copy's types are built apart too, so no part is shared
+        s, b = Primitive("S"), Primitive("B")
+        pair = [Sequent((S / B, B), S), Sequent([s / b, b], s)]
+        hash(pair[hashed_first])
+        assert pair[0] == pair[1] and pair[1] == pair[0]
+        assert {pair[0]: 0}[pair[1]] == 0 and {pair[1]: 1}[pair[0]] == 1
+        assert pair[0] != Sequent((S / B, B), B)
+
 
 class TestProof:
+    def test_a_tall_proof_hashes_without_recursion(self):
+        # 10^4 nodes, 2,501 levels tall: a proof whose hash recursed through
+        # its premises would pass the recursion limit
+        lexicon = parse_lexicon_file((ROOT / "samples" / "anbn.lex").read_text())
+        proof = LambekDecider(lexicon).find_proof("a" * 2500 + "b" * 2500)
+        assert sum(1 for _ in proof.nodes()) == 9999
+        assert hash(proof) == hash(
+            (proof.conclusion, proof.rule, proof.premises, proof.position)
+        )
+
     def _tall_proof(self):
         lexicon = parse_lexicon_file((ROOT / "samples" / "anbn.lex").read_text())
         return LambekDecider(lexicon).find_proof("a" * 400 + "b" * 400)
@@ -292,6 +316,12 @@ class TestCfg:
     def test_rules_for(self):
         g = corpus.anbn()
         assert [p.rhs for p in g.rules_for("S")] == [("a", "S", "B"), ("a", "B")]
+
+    @pytest.mark.parametrize("bad", ["", "->", "a b", "a\tb", "a|b", "a#b", "a:b"])
+    def test_bad_symbols_rejected(self, bad):
+        for nts, ts in [(("S", bad), ("a",)), (("S",), ("a", bad))]:
+            with pytest.raises(GrammarError, match=r"^bad grammar symbol "):
+                Cfg(nts, ts, "S", (Production("S", ("a",)),))
 
     def test_symbols_can_look_like_types(self):
         # translator output uses parenthesized type names as nonterminals

@@ -117,6 +117,27 @@ class TestQueryValidation:
         with pytest.raises(FragmentError):
             prove(Sequent(((S / B) / A, B), S), REGULAR_FRAGMENT)
 
+    @pytest.mark.parametrize(
+        "sequent,config,named",
+        [
+            # the consequent, in a balanced sequent
+            (Sequent((B, B >> S), B >> S), SLASH_FRAGMENT, B >> S),
+            # in an unbalanced sequent the count check would refute it
+            (Sequent((B >> S,), B), SLASH_FRAGMENT, B >> S),
+            (Sequent((S,), S * B), SLASH_FRAGMENT, S * B),
+            # the first offender, antecedent before consequent
+            (Sequent((S, S * B, B >> S), A >> S), SLASH_FRAGMENT, S * B),
+            # the degree cap
+            (Sequent((B, B >> (S / A)), S), LINEAR_FRAGMENT, B >> (S / A)),
+            (Sequent((S / B, B), (S / B) / A), LINEAR_FRAGMENT, (S / B) / A),
+            (Sequent((S, (S / B) / A), B), REGULAR_FRAGMENT, (S / B) / A),
+        ],
+    )
+    def test_fragment_error_names_the_first_offending_type(self, sequent, config, named):
+        with pytest.raises(FragmentError) as err:
+            ProofEngine().prove(sequent, config)
+        assert str(err.value) == f"type {named} falls outside the configured restriction"
+
 
 class TestSearchProperties:
     def test_proof_is_sound_and_cut_free(self):

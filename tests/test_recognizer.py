@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from lambekit import (
     Sequent,
     Slash,
     SLASH_FRAGMENT,
+    format_proof,
     reduce_linear,
     reduce_regular,
     reduce_slash,
@@ -23,7 +25,7 @@ from lambekit import (
 
 from test_prover import types_up_to
 
-S, B = Primitive("S"), Primitive("B")
+S, B, A = Primitive("S"), Primitive("B"), Primitive("A")
 
 SLASH_TYPES = types_up_to(2, (S, B), ("/",))  # 22 of them
 DEG1_SLASH = types_up_to(1, (S, B), ("/",))  # 6
@@ -104,6 +106,52 @@ class TestReduceSlash:
             reduce_slash([B], B, ReductionTable([S / B, B]))
         with pytest.raises(FragmentError):
             reduce_slash([S / B], S, ReductionTable([S]))
+
+
+@pytest.mark.parametrize(
+    "reduce,seq,target,message",
+    [
+        (reduce_slash, [S], B >> S, "target B\\S uses connectives other than /"),
+        # the target is checked before the sequence
+        (reduce_slash, [S * B], S * B, "target S*B uses connectives other than /"),
+        (reduce_slash, [S, B >> S, S * B], S, "type B\\S uses connectives other than /"),
+        # no count check stands in for the fragment check: B\S, S -> B is unbalanced
+        (reduce_slash, [B >> S, S], B, "type B\\S uses connectives other than /"),
+        (reduce_slash_proof, [S / B, B * S], S, "type B*S uses connectives other than /"),
+        (reduce_linear, [S / B, (S / B) / S, S], S, "type S/B/S is not a degree-one {/, \\} type"),
+        (reduce_linear, [B >> (S / B)], S, "type B\\(S/B) is not a degree-one {/, \\} type"),
+        (reduce_linear, [(S / B) / S], S / B, "target must be primitive, got S/B"),
+        (reduce_linear, [S], A >> S, "target must be primitive, got A\\S"),
+        (reduce_regular, [S, (S / B) / B], S, "type S/B/B is not a degree-one /-only type"),
+        (reduce_regular, [S, B >> S], S, "type B\\S is not a degree-one /-only type"),
+        (reduce_regular, [S], S / B, "target must be primitive, got S/B"),
+    ],
+)
+def test_fragment_error_names_the_first_offending_type(reduce, seq, target, message):
+    with pytest.raises(FragmentError) as err:
+        reduce(seq, target)
+    assert str(err.value) == message
+
+
+def test_slash_chart_proofs_match_their_golden_digest():
+    """Every criterion-4 sequent with at most three antecedent types, both
+    targets, in order: its ``reduce_slash_proof`` text, or "-" when there is
+    none.  A change to how the chart walks a spine (which arguments it
+    reads, in what order, where it stops) changes a proof or a verdict, and
+    so the digest."""
+    digest = hashlib.sha256()
+    provable = 0
+    for length in (1, 2, 3):
+        for ant in itertools.product(SLASH_TYPES, repeat=length):
+            for target in (S, B):
+                proof = reduce_slash_proof(ant, target)
+                provable += proof is not None
+                text = "-" if proof is None else format_proof(proof)
+                digest.update(text.encode() + b"\n")
+    assert provable == 62
+    assert digest.hexdigest() == (
+        "03014d8ed8113f222798c151357a1627c02537ab15ce9f642adf1ad551cd9a89"
+    )
 
 
 class TestReduceSlashProof:
