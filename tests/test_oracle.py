@@ -8,6 +8,7 @@ import pytest
 
 from lambekit import (
     Backslash,
+    CalculusConfig,
     Cfg,
     CfgDecider,
     FragmentError,
@@ -19,6 +20,7 @@ from lambekit import (
     Primitive,
     Production,
     REGULAR_FRAGMENT,
+    Rule,
     SLASH_FRAGMENT,
     Sequent,
     Slash,
@@ -823,6 +825,67 @@ class TestFindProof:
         proof = decider.find_proof("abab")
         rules = {node.rule.value for _, node in proof.nodes()}
         assert rules == {"/L", "axiom"}
+
+
+_ROUTE_CONFIGS = {
+    "inferred": None,
+    "regular": REGULAR_FRAGMENT,
+    "slash": SLASH_FRAGMENT,
+    "linear": LINEAR_FRAGMENT,
+    "full": FULL_CALCULUS,
+    "{/L}": CalculusConfig(frozenset({Rule.SLASH_L})),
+    "{\\L}": CalculusConfig(frozenset({Rule.BACK_L})),
+    "{/L, \\L}": CalculusConfig(frozenset({Rule.SLASH_L, Rule.BACK_L})),
+}
+
+# the least budget with which a member is decided and derived, per
+# configuration; None where the lexicon falls outside the restriction
+_ROUTE_BUDGETS = {
+    # the NFA decides (a step per position before the last) and a sweep
+    # derives; \L alone, or the right rules, leave search
+    ("abplus.reg", "abab"): {
+        "inferred": (3, 6), "regular": (3, 6), "slash": (3, 6), "linear": (3, 6),
+        "full": (11, 11), "{/L}": (3, 6), "{\\L}": (6, 6), "{/L, \\L}": (3, 6),
+    },
+    # the sweep decides and derives
+    ("anbn.lex", "aabb"): {
+        "inferred": (6, 6), "regular": None, "slash": (6, 6), "linear": None,
+        "full": (9, 9), "{/L}": (6, 6), "{\\L}": (6, 6), "{/L, \\L}": (6, 6),
+    },
+    # the linear walk decides and derives; without both left rules, search
+    ("anban.lcfg", "aabaa"): {
+        "inferred": (5, 5), "regular": None, "slash": None, "linear": (5, 5),
+        "full": (9, 9), "{/L}": (27, 27), "{\\L}": (31, 31), "{/L, \\L}": (5, 5),
+    },
+}
+
+
+def _route_lexicon(name):
+    if name.endswith(".lex"):
+        return parse_lexicon_file((SAMPLES / name).read_text())
+    translate = reg_to_lambek if name.endswith(".reg") else lcfg_to_lambek
+    return translate(_sample(name))
+
+
+class TestRouteMatrix:
+    """Which route a (lexicon, configuration) pair takes, told apart by the
+    budget a member costs: the NFA, the sweep, the linear walk and search
+    each charge it differently."""
+
+    @pytest.mark.parametrize(
+        "source,word,config_name",
+        [(*key, name) for key in _ROUTE_BUDGETS for name in _ROUTE_CONFIGS],
+    )
+    def test_least_budgets(self, source, word, config_name):
+        lexicon = _route_lexicon(source)
+        config = _ROUTE_CONFIGS[config_name]
+        expected = _ROUTE_BUDGETS[source, word][config_name]
+        if expected is None:
+            with pytest.raises(FragmentError):
+                LambekDecider(lexicon, config)
+            return
+        decider = LambekDecider(lexicon, config)
+        assert (_least_budget(decider, word), _least_budget(decider.find_proof, word)) == expected
 
 
 def _random_linear_cfg(rng):

@@ -255,6 +255,26 @@ class TestReduceRegular:
 class TestComplexityGuard:
     """The reduction is a chart, not a search: work grows polynomially."""
 
+    @pytest.mark.parametrize(
+        "seq,target,member,ops",
+        [
+            ((S / B, B), S, True, 2),
+            (((S / B) / S, S, B), S, True, 4),
+            (((S / B) / S, S / B, B, B), S, True, 6),
+            (((S / B) / S, S), S / B, True, 2),
+            ((S / S,) * 8 + (S,), S, True, 9),
+            ((B, S / B), S, False, 1),
+            (((S / B) / S, S, B, B), S, False, 5),
+            (((S / S) / S,) * 6, S, False, 10),
+        ],
+    )
+    def test_ops_are_exact(self, seq, target, member, ops):
+        # one op per (span, goal) expanded and one per multi-argument split
+        # tried; the bounds below hold only while this count means that
+        table = ReductionTable(seq)
+        assert reduce_slash(seq, target, table) is member
+        assert table.ops == ops
+
     def test_ops_growth_is_polynomial(self):
         ops = {}
         for n in (8, 16, 32, 64):
