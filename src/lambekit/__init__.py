@@ -38,7 +38,6 @@ from .core import (
     degree,
     format_type,
     in_fragment,
-    reassemble_spine,
     spine_decompositions,
     subtypes,
     subtypes_in_order,
@@ -84,18 +83,18 @@ from .transform import (
     reg_to_lambek,
     remove_unit_productions,
     to_gnf,
-    to_gnf_report,
     translation_report,
 )
 from .oracle import (
+    FRAGMENTS,
     CfgDecider,
     CrosscheckReport,
+    Fragment,
     LambekDecider,
     cfg_member,
     crosscheck,
     enumerate_strings,
     infer_config,
-    lambek_member,
 )
 from .cli import (
     format_grammar,

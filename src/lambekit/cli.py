@@ -49,13 +49,14 @@ from .core import (
     FULL_CALCULUS,
 )
 from .oracle import (
-    _FRAGMENTS,
+    FRAGMENTS,
     CfgDecider,
     LambekDecider,
     StepLimitExceeded,
+    _fit,
+    _shape,
     crosscheck,
     enumerate_strings,
-    infer_config,
 )
 from .prover import ProofEngine
 from .core import Primitive, subtypes_in_order
@@ -67,17 +68,7 @@ from .syntax import (
     parse_type,
     proof_to_dict,
 )
-from .transform import (
-    TranslationError,
-    cfg_to_lambek,
-    lambek_to_cfg,
-    lambek_to_lcfg,
-    lambek_to_reg,
-    lcfg_to_lambek,
-    reg_to_lambek,
-    to_gnf,
-    translation_report,
-)
+from .transform import TranslationError, to_gnf, translation_report
 
 FORMAT_VERSION = 2
 
@@ -285,8 +276,7 @@ def _alphabet(g: Union[Cfg, LambekGrammar]) -> tuple:
 def _decider(g: Union[Cfg, LambekGrammar], args):
     if isinstance(g, Cfg):
         return CfgDecider(g)
-    config = _FRAGMENTS[args.fragment][0] if getattr(args, "fragment", None) else None
-    return LambekDecider(g, config)
+    return LambekDecider(g, next((f.config for f in FRAGMENTS if f.name == args.fragment), None))
 
 
 def _check_fragment(args, *grammars) -> None:
@@ -317,10 +307,9 @@ def _join(word: tuple) -> str:
 def _cmd_classify(args) -> int:
     g = load_grammar_file(args.file)
     if isinstance(g, LambekGrammar):
-        config = infer_config(g)
         fields = {
             "kind": "lexicon",
-            "fragment": next(k for k, (v, _) in _FRAGMENTS.items() if v == config),
+            "fragment": _fit(_shape(g)).name,
             "symbols": len(g.alphabet),
             "types": len(g.all_types()),
             "max_degree": max([t.degree for t in g.all_types()] or [0]),
@@ -373,12 +362,7 @@ def _cmd_convert(args) -> int:
                 "a grammar file converts to a lexicon; use --to lambek"
             )
         via = args.via or "gnf"
-        if via == "gnf":
-            result = cfg_to_lambek(to_gnf(g))
-        elif via == "lcfg":
-            result = lcfg_to_lambek(g)
-        else:
-            result = reg_to_lambek(g)
+        result = next(f for f in FRAGMENTS if f.via == via).to_lexicon(g)
         text = format_lexicon(result)
     else:
         if args.to == "lambek":
@@ -387,12 +371,7 @@ def _cmd_convert(args) -> int:
             )
         if args.via:
             raise FragmentError("--via only applies to grammar input")
-        translate = {
-            "cfg": lambek_to_cfg,
-            "lcfg": lambek_to_lcfg,
-            "reg": lambek_to_reg,
-        }[args.to]
-        result = translate(g)
+        result = next(f for f in FRAGMENTS if f.to == args.to).to_grammar(g)
         text = format_grammar(result)
     report = translation_report(g, result)
     payload = {
@@ -532,6 +511,11 @@ def _count(least: int):
     return parse
 
 
+def _names(field: str) -> list:
+    # one column of the fragment table, in the order the CLI lists it
+    return sorted(getattr(f, field) for f in FRAGMENTS if getattr(f, field))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambekit",
@@ -555,18 +539,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("convert", _cmd_convert, "translate between grammars and lexicons")
     p.add_argument("file")
-    p.add_argument("--to", required=True, choices=("lambek", "cfg", "lcfg", "reg"))
-    p.add_argument(
-        "--via",
-        choices=("gnf", "lcfg", "reg"),
-        help="route for grammar input (default: gnf)",
-    )
+    p.add_argument("--to", required=True, choices=("lambek", *_names("to")))
+    p.add_argument("--via", choices=_names("via"), help="route for grammar input (default: gnf)")
     p.add_argument("-o", "--output", help="write the result to a file")
 
     p = add("decide", _cmd_decide, "test whether a string is in the language")
     p.add_argument("file")
     p.add_argument("word", help="symbols separated by spaces, or run together")
-    p.add_argument("--fragment", choices=sorted(_FRAGMENTS))
+    p.add_argument("--fragment", choices=_names("name"))
     p.add_argument("--proof", action="store_true", help="print a derivation")
     p.add_argument("--budget", type=_count(0), help="per-string step budget")
 
@@ -578,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", _cmd_enumerate, "list the language up to a length bound")
     p.add_argument("file")
     p.add_argument("--max-len", type=_count(1), required=True)
-    p.add_argument("--fragment", choices=sorted(_FRAGMENTS))
+    p.add_argument("--fragment", choices=_names("name"))
     p.add_argument("--budget", type=_count(0), help="per-string step budget")
 
     p = add("crosscheck", _cmd_crosscheck, "compare two languages string by string")
@@ -587,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=_count(1), required=True)
     p.add_argument("--exhaustive", action="store_true", help="keep going past the first disagreement")
     p.add_argument("--budget", type=_count(0), help="per-string step budget")
-    p.add_argument("--fragment", choices=sorted(_FRAGMENTS))
+    p.add_argument("--fragment", choices=_names("name"))
 
     return parser
 

@@ -264,14 +264,6 @@ def spine_decompositions(t: LambekType):
     return out
 
 
-def reassemble_spine(head: LambekType, args: Sequence[LambekType]) -> LambekType:
-    """Inverse of spine_decompositions: nest args back onto head."""
-    t = head
-    for a in reversed(tuple(args)):
-        t = Slash(t, a)
-    return t
-
-
 def type_sort_key(t: LambekType):
     """A total order on types; used for canonical lexicon ordering."""
     if type(t) is Primitive:

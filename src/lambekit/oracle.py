@@ -1,4 +1,13 @@
-"""Ground-truth membership deciders and the exhaustive cross-check harness.
+"""The fragment table, ground-truth membership deciders and the exhaustive
+cross-check harness.
+
+``FRAGMENTS`` holds one row per fragment: the regular, slash and linear
+fragments, which the paper pairs with regular, context-free and linear
+grammars, and the full calculus.  A row carries the fragment's
+configuration, its translations to and from its grammar class, its
+sequence recognizer and its word route; ``infer_config``,
+``LambekDecider`` and the CLI read it, and nothing else picks by
+fragment.
 
 Two independent routes exist for everything at desk scale: grammars are
 decided by ``recognizer.sweep`` over a GNF grammar's terminal-first rules
@@ -34,6 +43,7 @@ from .core import (
     Rule,
     Sequent,
     StepLimitExceeded,
+    TypeRestriction,
     _Budget,
     _outside,
     classify_cfg,
@@ -57,7 +67,16 @@ from .recognizer import (
     reduce_slash,
     sweep,
 )
-from .transform import remove_unit_productions
+from .transform import (
+    cfg_to_lambek,
+    lambek_to_cfg,
+    lambek_to_lcfg,
+    lambek_to_reg,
+    lcfg_to_lambek,
+    reg_to_lambek,
+    remove_unit_productions,
+    to_gnf,
+)
 
 Word = Sequence[str]
 
@@ -99,11 +118,11 @@ def _gnf_tables(g: Cfg) -> tuple:
     return group_rules(rules), len(ids)
 
 
-def _gnf_member(tables: tuple, w: Word, budget: _Budget) -> bool:
-    """The ``sweep`` verdict: head 0 (the start, or a lexicon's target)
-    derives all of w."""
-    rules, size = tables
-    return bool(sweep(w, rules, size, budget)[0][0] >> len(w) & 1)
+def _gnf_member(w: Word, tables: tuple, budget: _Budget) -> bool:
+    """The ``sweep`` verdict on tables that start with the rules and the id
+    count, a grammar's or ``compile_spines``': head 0 (the start, or a
+    lexicon's target) derives all of w."""
+    return bool(sweep(w, tables[0], tables[1], budget)[0][0] >> len(w) & 1)
 
 
 def _cnf_tables(g: Cfg) -> tuple:
@@ -145,7 +164,7 @@ def _cnf_tables(g: Cfg) -> tuple:
     return heads, tuple(rules), len(ids)
 
 
-def _cyk_member(tables: tuple, w: Word, budget: _Budget) -> bool:
+def _cyk_member(w: Word, tables: tuple, budget: _Budget) -> bool:
     """Bit-vector CYK (Graham, Harrison & Ruzzo 1980), spans by width.
     ends[i][X] is a bitmask of the positions j with X =>* w[i:j], and
     starts[j][X] one of the positions i; span (i, j) gets A when
@@ -217,53 +236,118 @@ class CfgDecider:
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self.grammar.terminal_set)
-        return self._member(self._tables, word, _Budget(max_steps))
+        return self._member(word, self._tables, _Budget(max_steps))
 
 
 # --------------------------------------------------------------------------
 # lexicon membership
 
 
-# every fragment by name, with the recognizer its type assignments go to
-# (None for the full calculus, which only search decides); a lexicon
-# belongs to the first one it fits
-_FRAGMENTS = {
-    "regular": (REGULAR_FRAGMENT, reduce_regular),
-    "slash": (SLASH_FRAGMENT, reduce_slash),
-    "linear": (LINEAR_FRAGMENT, reduce_linear),
-    "full": (FULL_CALCULUS, None),
-}
+def _linear_member(w: Word, tables: tuple, budget: _Budget) -> bool:
+    """The linear walk's verdict: goal id 0, the target, spans all of w."""
+    return LinearChart(w, tables, budget)._walk((0, len(w), 0)) is not False
 
 
-def _lexicon_in(lg: LambekGrammar, fragment: CalculusConfig) -> bool:
-    return _outside(lg.all_types(), fragment.type_restriction) is None
+def _nfa_chart(w: Word, nfa: tuple, budget: _Budget) -> SpineChart:
+    """The chart a regular word's proof is read off: the sweep over the
+    spines of the lexicon the automaton was compiled from."""
+    return SpineChart(w, compile_spines(*nfa[3:]), budget)
+
+
+def _gnf_to_lambek(g: Cfg) -> LambekGrammar:
+    return cfg_to_lambek(to_gnf(g))
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """One fragment of the calculus, as the paper pairs it with a grammar
+    class: its name and configuration; the ``--via`` name and translator
+    from grammars of its class, and the ``--to`` name and translator back;
+    the recognizer its type sequences go to; and its word route, which
+    ``compile``s a lexicon's tables once (from the lexicon and target),
+    ``decide``s a word on them and builds the ``chart`` that ``_derive``
+    reads a proof off (each from the word, the tables and a budget).  The
+    full calculus has none of these: search decides it."""
+
+    name: str
+    config: CalculusConfig
+    via: Optional[str] = None
+    to_lexicon: Optional[Callable] = None
+    to: Optional[str] = None
+    to_grammar: Optional[Callable] = None
+    recognize: Optional[Callable] = None
+    compile: Optional[Callable] = None
+    decide: Optional[Callable] = None
+    chart: Optional[Callable] = None
+
+
+# a lexicon belongs to the first row whose restriction admits it; a row
+# holds module-level functions only, so a decider pickles
+FRAGMENTS = (
+    Fragment("regular", REGULAR_FRAGMENT, "reg", reg_to_lambek, "reg", lambek_to_reg,
+             reduce_regular, compile_nfa, nfa_member, _nfa_chart),
+    Fragment("slash", SLASH_FRAGMENT, "gnf", _gnf_to_lambek, "cfg", lambek_to_cfg,
+             reduce_slash, compile_spines, _gnf_member, SpineChart),
+    Fragment("linear", LINEAR_FRAGMENT, "lcfg", lcfg_to_lambek, "lcfg", lambek_to_lcfg,
+             reduce_linear, compile_linear, _linear_member, LinearChart),
+    Fragment("full", FULL_CALCULUS),
+)
+
+
+def _shape(lg: LambekGrammar) -> tuple:
+    """The lexicon's connectives, as a mask, and its greatest degree, in
+    one scan of its types."""
+    conn = degree = 0
+    for types in lg.lexicon.values():
+        for t in types:
+            conn |= t._conn
+            degree = max(degree, t.degree)
+    return conn, degree
+
+
+def _admits(restriction: TypeRestriction, shape: tuple) -> bool:
+    conn, degree = shape
+    cap = restriction.max_degree
+    return not conn & ~restriction._mask and (cap is None or degree <= cap)
+
+
+def _fit(shape: tuple, rules: frozenset = FULL_CALCULUS.enabled_rules) -> Fragment:
+    """The first row whose rules lie within ``rules`` and whose restriction
+    admits a lexicon of this ``_shape``, else the full row."""
+    fits = (f for f in FRAGMENTS if f.config.enabled_rules <= rules)
+    return next((f for f in fits if _admits(f.config.type_restriction, shape)), FRAGMENTS[-1])
 
 
 def infer_config(lg: LambekGrammar) -> CalculusConfig:
     """The natural fragment for a lexicon's shape: /-only lexicons get the
     slash fragment (degree-one ones the regular fragment), degree-one
     {/, \\} lexicons the linear fragment, anything else the full calculus."""
-    return next(f for f, _ in _FRAGMENTS.values() if _lexicon_in(lg, f))
+    return _fit(_shape(lg)).config
 
 
 class LambekDecider:
     """Membership decider for one lexicon under one configuration.
 
-    method "auto" decides a word with lexicon choices folded in, and is
-    "prove" outside the chart fragments: a /-only lexicon is compiled here
-    once by ``compile_spines`` to GNF rules, which ``recognizer.sweep``
-    decides as it does a grammar's for ``CfgDecider``, the verdict read
-    off the target's column-0 mask with no witness read (``SpineChart``
-    reads a proof off the same sweep); a regular one instead to an NFA
-    over int bitmasks (``compile_nfa``) that decides it, determinised per
-    call into plain dicts, its spines compiled only when ``find_proof``
-    asks for a proof; and a linear one to ``compile_linear``'s int tries,
-    which ``LinearChart`` walks to decide and derive alike.  "recognizer"
-    and "prove" enumerate type assignments one by one and hand each to the
-    fragment recognizer or the prover; the search route builds one
-    ``ProofEngine`` per call, shared by that call's assignments.  A call
-    keeps nothing once it returns.  All three agree; the slower routes
-    keep each other honest in tests.
+    The configuration defaults to the lexicon's own row of ``FRAGMENTS``,
+    as ``infer_config`` gives it.  The decider then reads one row: the
+    first whose rules lie within the configuration's, these being left
+    rules only, and whose restriction admits the lexicon, since a row's
+    chart is exact under its own left rules, or under /L with \\L idle for
+    want of a \\ type; failing that, the full row, which search decides.
+    One scan of the lexicon's types settles both.  The row's ``compile``
+    builds the tables here, once: for a regular lexicon an NFA over int
+    bitmasks, determinised per call into plain dicts, its spines compiled
+    only when ``find_proof`` asks for a proof; for a /-only one the GNF
+    rules of its spine decompositions, which ``recognizer.sweep`` decides
+    as it does a grammar's for ``CfgDecider``; for a linear one the int
+    tries that ``LinearChart`` walks to decide and derive alike.
+
+    method "auto" decides a word by the row's ``decide``, and is "prove"
+    on the full row.  "recognizer" and "prove" enumerate type assignments
+    one by one and hand each to the row's recognizer or to the prover; the
+    search route builds one ``ProofEngine`` per call, shared by that call's
+    assignments.  A call keeps nothing once it returns.  All three agree;
+    the slower routes keep each other honest in tests.
     A budget step is a (position, kept spine decomposition) of the sweep,
     charged a column at a time, a span the linear walk expands or a
     position the NFA reads before the last, and elsewhere a type
@@ -279,67 +363,45 @@ class LambekDecider:
     ):
         self.grammar = lg
         self._symbols = frozenset(lg.lexicon)
-        self.config = config or infer_config(lg)
+        shape = _shape(lg)
+        self.config = config or _fit(shape).config
         if method not in ("auto", "recognizer", "prove"):
             raise ValueError(f"unknown method {method!r}")
         self.method = method
-        bad = _outside(lg.all_types(), self.config.type_restriction)
-        if bad is not None:
+        if not _admits(self.config.type_restriction, shape):
+            bad = _outside(lg.all_types(), self.config.type_restriction)
             raise FragmentError(f"lexicon type {bad} falls outside the configured restriction")
-        # the chart is exact when the configuration's rules are the
-        # fragment's left rules, or /L with \L idle for want of a \ type
         rules = self.config.enabled_rules
-        self._fragment, self._recognize = None, None
-        if rules <= {Rule.SLASH_L, Rule.BACK_L}:
-            for fragment, recognize in _FRAGMENTS.values():
-                if fragment.enabled_rules <= rules and _lexicon_in(lg, fragment):
-                    self._fragment, self._recognize = fragment, recognize
-                    break
-        # the chart class a proof is read off, with its tables, and the
-        # sweep's tables, which decide a /-only word; a regular lexicon is
-        # decided by its NFA and derived by a sweep compiled per proof
-        self._nfa = self._sweep = self._chart = None
-        if self._fragment is REGULAR_FRAGMENT:
-            self._nfa = compile_nfa(lg.lexicon, lg.target)
-        elif self._fragment is LINEAR_FRAGMENT:
-            self._chart = (LinearChart, compile_linear(lg.lexicon, lg.target))
-        elif self._fragment is not None:
-            spines = compile_spines(lg.lexicon, lg.target)
-            self._chart, self._sweep = (SpineChart, spines), spines[2]
+        row = _fit(shape, rules) if rules <= {Rule.SLASH_L, Rule.BACK_L} else FRAGMENTS[-1]
+        self._fragment = row
+        self._tables = row.compile and row.compile(lg.lexicon, lg.target)
 
     def __call__(self, w: Word, max_steps: Optional[int] = None) -> bool:
         word = _checked_word(w, self._symbols)
         budget = _Budget(max_steps)
-        target = self.grammar.target
-        if self.method == "auto" and self._fragment is not None:
-            if self._nfa is not None:
-                return nfa_member(word, self._nfa, budget)
-            if self._sweep is not None:
-                return _gnf_member(self._sweep, word, budget)
-            chart, tables = self._chart
-            return chart(word, tables, budget).reduce(0, len(word), target)
+        row = self._fragment
+        if self.method == "auto" and row.decide is not None:
+            return row.decide(word, self._tables, budget)
         if self.method != "recognizer":
             return self._first(word, budget, partial(self._proof, ProofEngine())) is not None
-        if self._recognize is None:
+        if row.recognize is None:
             raise FragmentError("no recognizer covers this lexicon/configuration; use prove")
-        return self._first(word, budget, lambda seq, _: self._recognize(seq, target)) is not None
+        target = self.grammar.target
+        return self._first(word, budget, lambda seq, _: row.recognize(seq, target)) is not None
 
     def find_proof(self, w: Word, max_steps: Optional[int] = None) -> Optional[Proof]:
         """A derivation of a type assignment of the word to the target, or
-        None for a non-member; ``max_steps`` as in ``__call__``.  In a chart
-        fragment it is read off the chart that decided membership (for a
-        regular lexicon, a sweep compiled for the call, which decides it
-        too), elsewhere found by search."""
+        None for a non-member; ``max_steps`` as in ``__call__``.  On a chart
+        row it is read off the row's chart, which decides membership too
+        (for a regular lexicon, a sweep compiled for the call), and on the
+        full row found by search."""
         word = _checked_word(w, self._symbols)
         budget = _Budget(max_steps)
-        if self._fragment is None:
+        row = self._fragment
+        if row.chart is None:
             return self._first(word, budget, partial(self._proof, ProofEngine()))
         target = self.grammar.target
-        if self._chart is None:  # a regular lexicon: the sweep derives
-            chart, tables = SpineChart, compile_spines(self.grammar.lexicon, target)
-        else:
-            chart, tables = self._chart
-        found = chart(word, tables, budget)
+        found = row.chart(word, self._tables, budget)
         return _derive(found, target) if found.reduce(0, len(word), target) else None
 
     def _first(self, word: Word, budget: _Budget, holds: Callable):
@@ -359,19 +421,6 @@ class LambekDecider:
         result = engine.prove(seq, self.config, max_steps=budget.left)
         budget.spend(result.stats.nodes_expanded)
         return result.proof
-
-
-def lambek_member(
-    lg: LambekGrammar,
-    w: Word,
-    config: Optional[CalculusConfig] = None,
-    method: str = "auto",
-    max_steps: Optional[int] = None,
-) -> bool:
-    """Decide whether some type assignment for the string reduces to the
-    distinguished type.  Build a LambekDecider directly to compile the
-    lexicon once for many strings."""
-    return LambekDecider(lg, config, method)(w, max_steps)
 
 
 # --------------------------------------------------------------------------

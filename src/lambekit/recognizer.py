@@ -155,11 +155,11 @@ def compile_spines(lexicon, target: LambekType) -> tuple:
     """A /-only lexicon as GNF rules: each spine decomposition (head, args)
     of a symbol's type is a rule head -> symbol args.  A rule is kept when
     its head can be wanted: the target, or an argument of a kept rule, to a
-    fixpoint.  Returns the wanted heads interned to ints (the target as 0);
-    per symbol, its kept rules as (type, head, args, argument ids), in
-    lexicon order, then spine order, which the witness readers walk; and
-    the sweep's tables: the kept rules by ``group_rules``, and the id
-    count."""
+    fixpoint.  Returns the sweep's tables, the kept rules by
+    ``group_rules`` and the id count, as a grammar's are; then the wanted
+    heads interned to ints (the target as 0), and per symbol its kept rules
+    as (type, head, args, argument ids), in lexicon order, then spine
+    order, which the witness readers walk."""
     rules = {
         sym: [(t, head, args) for t in types for head, args in spine_decompositions(t)]
         for sym, types in lexicon.items()
@@ -185,7 +185,7 @@ def compile_spines(lexicon, target: LambekType) -> tuple:
         sym: [(ids[head], arg_ids) for _, head, _, arg_ids in spines]
         for sym, spines in kept.items()
     }
-    return ids, kept, (group_rules(gnf), len(ids))
+    return group_rules(gnf), len(ids), ids, kept
 
 
 def group_rules(rules: dict) -> dict:
@@ -264,7 +264,7 @@ class SpineChart(_TypeKeyedChart):
     """
 
     def __init__(self, word: Sequence, spines: tuple, budget: _Budget):
-        self._ids, self._kept, (rules, size) = spines
+        rules, size, self._ids, self._kept = spines
         self.types = word
         self.memo: dict = {}
         self._splits: dict = {}
@@ -352,11 +352,11 @@ class LinearChart:
 
     def witness(self, i: int, j: int, goal: LambekType):
         key = (i, j, self._ids[goal])
-        if key not in self.memo:
-            self._walk(key)
-        return self.memo[key]
+        return self.memo[key] if key in self.memo else self._walk(key)
 
-    def _walk(self, root: tuple) -> None:
+    def _walk(self, root: tuple):
+        """Decide the span ``root``, (i, j, goal id), and the spans it
+        needs; returns its witness."""
         word, memo, spend = self.types, self.memo, self._budget.spend
         units, first, last = self._units, self._first, self._last
         spend()
@@ -379,6 +379,7 @@ class LinearChart:
                     break
             else:
                 memo[stack.pop()] = False
+        return memo[root]
 
 
 def compile_nfa(lexicon, target: Primitive) -> tuple:
@@ -387,8 +388,10 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
     to produce, and p/q where p is wanted leaves q wanted.  Returns the
     start mask (the target's bit) and, per symbol of ``lexicon``, its
     (result bit, argument bit) moves and the mask of primitives it offers
-    outright.  ``nfa_member`` determinises it per call, into plain dicts
-    that it walks one subscript per symbol."""
+    outright; then the lexicon and target themselves, since the automaton
+    keeps no types and a proof is read off a sweep compiled from them.
+    ``nfa_member`` determinises it per call, into plain dicts that it
+    walks one subscript per symbol."""
     bits: dict = {}
 
     def bit(p: Primitive) -> int:
@@ -405,7 +408,7 @@ def compile_nfa(lexicon, target: Primitive) -> tuple:
             else:
                 offered |= bit(t)
         moves[key], finals[key] = tuple(steps), offered
-    return start, moves, finals
+    return start, moves, finals, lexicon, target
 
 
 def nfa_member(word: Sequence, nfa: tuple, budget: _Budget) -> bool:
@@ -418,7 +421,7 @@ def nfa_member(word: Sequence, nfa: tuple, budget: _Budget) -> bool:
     step per position read before the last, so the walk stops after
     ``budget.left`` positions: a run that died within them is a verdict,
     one still alive there an overrun."""
-    start, moves, finals = nfa
+    start, moves, finals = nfa[:3]
     read = len(word) - 1
     if budget.left is not None:
         read = max(0, min(read, budget.left))

@@ -238,11 +238,6 @@ def to_gnf(g: Cfg) -> Cfg:
     return prune_useless(Cfg(nts, g.terminals, g.start, tuple(final)))
 
 
-def to_gnf_report(g: Cfg):
-    out = to_gnf(g)
-    return out, translation_report(g, out)
-
-
 # --------------------------------------------------------------------------
 # GNF grammars <-> /-only lexicons
 

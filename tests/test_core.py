@@ -27,7 +27,6 @@ from lambekit import (
     in_fragment,
     parse_lexicon_file,
     parse_type,
-    reassemble_spine,
     spine_decompositions,
     subtypes,
     subtypes_in_order,
@@ -109,7 +108,9 @@ class TestTypes:
         decs = spine_decompositions(t)
         assert decs[0] == (t, ())
         for head, args in decs:
-            assert reassemble_spine(head, args) == t
+            for a in reversed(args):  # nest the arguments back onto the head
+                head = Slash(head, a)
+            assert head == t
 
     @given(types())
     def test_subtypes_bounded_by_degree(self, t):

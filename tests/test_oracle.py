@@ -11,6 +11,7 @@ from lambekit import (
     CalculusConfig,
     Cfg,
     CfgDecider,
+    FRAGMENTS,
     FragmentError,
     FULL_CALCULUS,
     GrammarError,
@@ -27,11 +28,11 @@ from lambekit import (
     StepLimitExceeded,
     cfg_member,
     cfg_to_lambek,
+    classify_cfg,
     crosscheck,
     enumerate_strings,
     format_proof,
     infer_config,
-    lambek_member,
     lcfg_to_lambek,
     parse_grammar_file,
     parse_lexicon_file,
@@ -511,10 +512,10 @@ ANBN_LEX = cfg_to_lambek(to_gnf(corpus.anbn()))
 
 class TestLambekMember:
     def test_membership(self):
-        assert lambek_member(ANBN_LEX, "ab")
-        assert lambek_member(ANBN_LEX, "aabb")
-        assert not lambek_member(ANBN_LEX, "a")
-        assert not lambek_member(ANBN_LEX, "ba")
+        assert LambekDecider(ANBN_LEX)("ab")
+        assert LambekDecider(ANBN_LEX)("aabb")
+        assert not LambekDecider(ANBN_LEX)("a")
+        assert not LambekDecider(ANBN_LEX)("ba")
 
     @pytest.mark.parametrize("method", ["auto", "recognizer", "prove"])
     def test_methods_agree(self, method):
@@ -546,15 +547,15 @@ class TestLambekMember:
             {"x": (Slash(S, B / D),), "y": (B / C,), "z": (C / D,)},
         )
         word = ("x", "y", "z")
-        assert not lambek_member(lg, word)  # inferred slash fragment
-        assert not lambek_member(lg, word, SLASH_FRAGMENT)
-        assert lambek_member(lg, word, FULL_CALCULUS)
-        assert lambek_member(lg, word, FULL_CALCULUS, method="prove")
+        assert not LambekDecider(lg)(word)  # inferred slash fragment
+        assert not LambekDecider(lg, SLASH_FRAGMENT)(word)
+        assert LambekDecider(lg, FULL_CALCULUS)(word)
+        assert LambekDecider(lg, FULL_CALCULUS, method="prove")(word)
 
     def test_recognizer_method_requires_a_fragment(self):
         lg = LambekGrammar(("S", "B"), ("a",), "S", {"a": (Backslash(B / B, S),)})
         with pytest.raises(FragmentError):
-            lambek_member(lg, "a", FULL_CALCULUS, method="recognizer")
+            LambekDecider(lg, FULL_CALCULUS, method="recognizer")("a")
 
     def test_decider_rejects_lexicon_outside_config(self):
         with pytest.raises(FragmentError):
@@ -562,9 +563,9 @@ class TestLambekMember:
 
     def test_unknown_symbol_and_empty_word(self):
         with pytest.raises(GrammarError):
-            lambek_member(ANBN_LEX, "q")
+            LambekDecider(ANBN_LEX)("q")
         with pytest.raises(GrammarError):
-            lambek_member(ANBN_LEX, "")
+            LambekDecider(ANBN_LEX)("")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -581,9 +582,9 @@ class TestLambekMember:
     )
     def test_budget_is_enforced(self, lexicon, word):
         word = tuple(word)
-        assert lambek_member(lexicon, word, max_steps=100_000)
+        assert LambekDecider(lexicon)(word, max_steps=100_000)
         with pytest.raises(StepLimitExceeded):
-            lambek_member(lexicon, word, max_steps=2)
+            LambekDecider(lexicon)(word, max_steps=2)
 
     def test_linear_chart_depth_is_one_frame_per_symbol(self):
         # 801 symbols: any extra frame per symbol runs past the default
@@ -630,9 +631,9 @@ class TestLambekMember:
 
     def test_empty_lexicon_entry_never_matches(self):
         lg = LambekGrammar(("S",), ("a", "b"), "S", {"a": (S,), "b": ()})
-        assert lambek_member(lg, "a")
-        assert not lambek_member(lg, "b")
-        assert not lambek_member(lg, "ab")
+        assert LambekDecider(lg)("a")
+        assert not LambekDecider(lg)("b")
+        assert not LambekDecider(lg)("ab")
 
 
 class TestInferConfig:
@@ -645,6 +646,61 @@ class TestInferConfig:
         assert infer_config(lin) == LINEAR_FRAGMENT
         full = LambekGrammar(("S", "B"), ("a",), "S", {"a": (Backslash(B / B, S),)})
         assert infer_config(full) == FULL_CALCULUS
+
+
+# per row with translators: the rule bodies its grammar class allows
+# ("a" a terminal, "B" a nonterminal), and a rule that no narrower class
+# has, which every grammar of the row gets
+_ROW_GRAMMARS = {
+    "regular": (("a", "aB"), None),
+    "slash": (("a", "aB", "aBB"), ("a", "N0", "N0")),
+    "linear": (("a", "aB", "Ba"), ("N0", "b")),
+}
+
+
+def _random_row_grammar(rng, shapes, widest):
+    """A random grammar over {a, b} with bodies of the given shapes, over
+    two or three nonterminals; N0 -> a, N0 -> b and ``widest`` make every
+    terminal useful and put the grammar outside the narrower classes."""
+    nts = tuple(f"N{i}" for i in range(rng.randint(2, 3)))
+    bodies = {("N0", ("a",)): None, ("N0", ("b",)): None}
+    if widest:
+        bodies["N0", widest] = None
+    for _ in range(rng.randint(2, 6)):
+        shape = rng.choice(shapes)
+        body = tuple(rng.choice("ab") if c == "a" else rng.choice(nts) for c in shape)
+        bodies[rng.choice(nts), body] = None
+    return Cfg(nts, ("a", "b"), "N0", tuple(Production(lhs, body) for lhs, body in bodies))
+
+
+class TestFragmentTable:
+    """Each row's translations, walked: a grammar of the row's class (and
+    of no narrower one) becomes a lexicon that infers back to the row, and
+    the row's translation back gives the same language."""
+
+    @pytest.mark.parametrize(
+        "row", [f for f in FRAGMENTS if f.to_lexicon is not None], ids=lambda f: f.name
+    )
+    def test_translations_round_trip_through_the_row(self, row):
+        shapes, widest = _ROW_GRAMMARS[row.name]
+        for seed in range(20):
+            g = _random_row_grammar(random.Random(seed), shapes, widest)
+            shape = classify_cfg(g)
+            assert shape.is_right_regular is (row.name == "regular"), (seed, g)
+            assert shape.is_lcfg is (row.name != "slash"), (seed, g)
+            lexicon = row.to_lexicon(g)
+            assert infer_config(lexicon) == row.config, (seed, g)
+            back = row.to_grammar(lexicon)
+            report = crosscheck(CfgDecider(g), CfgDecider(back), g.terminals, 6)
+            assert report.agreed, (seed, g, report)
+
+    def test_full_row_fits_a_degree_two_lexicon_over_both_slashes(self):
+        lg = parse_lexicon_file("target: S\na : A, S/A\nb : A\\S, S\\(A\\S)\n")
+        assert max(t.degree for t in lg.all_types()) == 2
+        assert [f.name for f in FRAGMENTS if f.config == infer_config(lg)] == ["full"]
+        full = FRAGMENTS[-1]
+        assert full.name == "full"
+        assert full.to_lexicon is full.to_grammar is full.recognize is full.decide is None
 
 
 class TestCrosscheck:

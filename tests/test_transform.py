@@ -25,7 +25,6 @@ from lambekit import (
     reg_to_lambek,
     remove_unit_productions,
     to_gnf,
-    to_gnf_report,
     translation_report,
     LambekGrammar,
 )
@@ -276,7 +275,8 @@ class TestToGnf:
 
     def test_report_lists_fresh_symbols(self):
         g = corpus.left_regular_ba_star()
-        out, report = to_gnf_report(g)
+        out = to_gnf(g)
+        report = translation_report(g, out)
         fresh = set(out.nonterminal_set) - set(g.nonterminal_set)
         assert fresh == set(report.fresh_symbols)
 
