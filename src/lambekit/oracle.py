@@ -255,6 +255,7 @@ def _nfa_chart(w: Word, nfa: tuple, budget: _Budget) -> SpineChart:
 
 
 def _gnf_to_lambek(g: Cfg) -> LambekGrammar:
+    """Any grammar as a /-only lexicon, through Greibach normal form."""
     return cfg_to_lambek(to_gnf(g))
 
 
@@ -306,6 +307,8 @@ def _shape(lg: LambekGrammar) -> tuple:
 
 
 def _admits(restriction: TypeRestriction, shape: tuple) -> bool:
+    """Whether the restriction admits every type of a lexicon of this
+    ``_shape``."""
     conn, degree = shape
     cap = restriction.max_degree
     return not conn & ~restriction._mask and (cap is None or degree <= cap)
